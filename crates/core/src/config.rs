@@ -123,7 +123,6 @@ impl SpcaConfig {
     /// Defaults for `d` components: 10 iterations max, relative tolerance
     /// 1e-3, 256-row error sample.
     pub fn new(components: usize) -> Self {
-        assert!(components > 0, "need at least one component");
         SpcaConfig {
             components,
             max_iters: 10,
@@ -171,9 +170,20 @@ impl SpcaConfig {
 
     /// Rejects nonsensical knob combinations before any cluster work runs.
     /// `n_cols` is the input width `D` (the sketch `d + p` must fit in it).
-    /// The EM arm currently has no rejectable combinations; the randomized
-    /// arm has three, each pinned by a test in `crates/core/tests/rpca.rs`.
+    /// Both arms reject zero components and zero partitions; the randomized
+    /// arm has three more checks, each pinned by a test in
+    /// `crates/core/tests/rpca.rs`.
     pub fn validate(&self, n_cols: usize) -> Result<(), SpcaError> {
+        if self.components == 0 {
+            return Err(SpcaError::InvalidConfig {
+                what: "need at least one component (components = 0)".into(),
+            });
+        }
+        if self.partitions == Some(0) {
+            return Err(SpcaError::InvalidConfig {
+                what: "need at least one partition (partitions = 0)".into(),
+            });
+        }
         if self.algorithm != Algorithm::Randomized {
             return Ok(());
         }
@@ -247,7 +257,6 @@ impl SpcaConfig {
 
     /// Fixes the number of input partitions.
     pub fn with_partitions(mut self, parts: usize) -> Self {
-        assert!(parts > 0, "need at least one partition");
         self.partitions = Some(parts);
         self
     }
@@ -403,8 +412,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one component")]
     fn zero_components_rejected() {
-        let _ = SpcaConfig::new(0);
+        for alg in [Algorithm::PpcaEm, Algorithm::Randomized] {
+            let err = SpcaConfig::new(0).with_algorithm(alg).validate(10).unwrap_err();
+            assert!(
+                matches!(&err, SpcaError::InvalidConfig { what } if what.contains("component"))
+            );
+        }
+    }
+
+    #[test]
+    fn zero_partitions_rejected() {
+        for alg in [Algorithm::PpcaEm, Algorithm::Randomized] {
+            let err = SpcaConfig::new(2).with_algorithm(alg).with_partitions(0).validate(10);
+            assert!(
+                matches!(err, Err(SpcaError::InvalidConfig { what }) if what.contains("partition"))
+            );
+        }
     }
 }

@@ -49,6 +49,14 @@ pub enum SpcaError {
         /// Human-readable description of the offending knob combination.
         what: String,
     },
+    /// Input rows do not match the model's width `D` (projecting data
+    /// with a model fitted on a different column space).
+    DimensionMismatch {
+        /// The model's input dimensionality `D`.
+        expected: usize,
+        /// The offending input's column count.
+        found: usize,
+    },
 }
 
 impl fmt::Display for SpcaError {
@@ -72,6 +80,9 @@ impl fmt::Display for SpcaError {
             }
             SpcaError::InvalidConfig { what } => {
                 write!(f, "invalid fit config: {what}")
+            }
+            SpcaError::DimensionMismatch { expected, found } => {
+                write!(f, "data has {found} columns but the model expects {expected}")
             }
         }
     }
@@ -121,5 +132,8 @@ mod tests {
         let e = SpcaError::InvalidConfig { what: "rpca_oversample = 0".into() };
         assert!(e.to_string().contains("invalid fit config"));
         assert!(e.to_string().contains("rpca_oversample"));
+
+        let e = SpcaError::DimensionMismatch { expected: 120, found: 7 };
+        assert!(e.to_string().contains("7 columns") && e.to_string().contains("expects 120"));
     }
 }

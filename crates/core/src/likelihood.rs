@@ -22,7 +22,7 @@ use crate::Result;
 
 /// Log-likelihood of the data under the model (natural log).
 pub fn log_likelihood(y: &SparseMat, model: &PcaModel) -> Result<f64> {
-    assert_eq!(y.cols(), model.input_dim(), "dimension mismatch");
+    model.check_input_width(y.cols())?;
     let n = y.rows();
     let d_in = y.cols();
     let d = model.output_dim();

@@ -63,10 +63,18 @@ impl PcaModel {
         Ok(self.components.matmul(&m_inv))
     }
 
+    /// Rejects input rows whose width is not the model's `D`.
+    pub fn check_input_width(&self, cols: usize) -> Result<()> {
+        if cols != self.input_dim() {
+            return Err(SpcaError::DimensionMismatch { expected: self.input_dim(), found: cols });
+        }
+        Ok(())
+    }
+
     /// Projects sparse rows into latent space: `X = (Y − 1⊗μ)·CM`,
     /// computed with mean propagation (never densifying `Y`).
     pub fn transform_sparse(&self, y: &SparseMat) -> Result<Mat> {
-        assert_eq!(y.cols(), self.input_dim(), "transform: dimension mismatch");
+        self.check_input_width(y.cols())?;
         let cm = self.latent_projection()?;
         let xm = cm.vecmat(&self.mean);
         let mut x = y.mul_dense(&cm);
@@ -78,7 +86,7 @@ impl PcaModel {
 
     /// Projects dense rows into latent space.
     pub fn transform_dense(&self, y: &Mat) -> Result<Mat> {
-        assert_eq!(y.cols(), self.input_dim(), "transform: dimension mismatch");
+        self.check_input_width(y.cols())?;
         let cm = self.latent_projection()?;
         let xm = cm.vecmat(&self.mean);
         let mut x = y.matmul(&cm);
@@ -309,6 +317,15 @@ mod tests {
         let xd = m.transform_dense(&dense).unwrap();
         let xs = m.transform_sparse(&sparse).unwrap();
         assert!(xd.approx_eq(&xs, 1e-12));
+    }
+
+    #[test]
+    fn transforms_reject_a_width_mismatch() {
+        let m = sample_model();
+        let narrow = Mat::zeros(2, 5);
+        let want = SpcaError::DimensionMismatch { expected: 6, found: 5 };
+        assert_eq!(m.transform_dense(&narrow).unwrap_err(), want);
+        assert_eq!(m.transform_sparse(&SparseMat::from_dense(&narrow)).unwrap_err(), want);
     }
 
     #[test]

@@ -271,6 +271,7 @@ impl EmJobs for MrJobs<'_> {
 pub fn fit(cluster: &SimCluster, y: &SparseMat, config: &SpcaConfig) -> Result<SpcaRun> {
     // Algorithm dispatch mirrors `spark::fit`: the randomized arm rides
     // the same entry point, so job scoping and callers stay unchanged.
+    config.validate(y.cols())?;
     if config.algorithm == crate::config::Algorithm::Randomized {
         return crate::rpca::fit_mapreduce(cluster, y, config);
     }

@@ -25,9 +25,16 @@
 //!
 //! so the N×K sketch `Q` is never materialized or shuffled — the paper's
 //! minimized-intermediate-data discipline carried over to the challenger.
-//! The driver then recovers the current top-d model from the small D×K `Z`
-//! (`top_singular_triplets`), re-orthonormalizes `Z` into the next basis
-//! (`orthonormal_columns`), and repeats for `q` power passes.
+//! The driver then factors the small D×K `Z = Q·R` once (`qr_thin`,
+//! O(D·K²), stage `rpca/orthonormalize`): `Q` is the next basis. It
+//! recovers the current top-d model from the K×K `R` (stage
+//! `rpca/recover`): with `R = U_R·S·V_Rᵀ`, the components are `Q·U_R` and
+//! `S` holds `Z`'s own singular values, so Jacobi sweeps run over K×K
+//! instead of D×K. This R-SVD is preferred over eigSVD (an eigensolve
+//! of `ZᵀZ`): it does not square the sketch's condition number, and
+//! Householder `Q` stays orthonormal on a rank-deficient `Z`, so there
+//! is no fallback path. Every pass, the last one included, charges its
+//! QR to `rpca/orthonormalize`. The loop repeats for `q` power passes.
 //!
 //! **Bitwise determinism.** EM's two engines agree only to round-off
 //! (their reduction trees differ); the randomized arm is held to a harder
@@ -44,7 +51,7 @@
 //! measures.
 
 use dcluster::SimCluster;
-use linalg::decomp::{orthonormal_columns, top_singular_triplets};
+use linalg::decomp::{qr_thin, top_singular_triplets};
 use linalg::sparse::SparseRow;
 use linalg::{Mat, SparseMat};
 use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
@@ -206,9 +213,10 @@ pub fn run_rpca(
         let (mut z, mut tsum) = (Mat::zeros(d_in, k), vec![0.0; k]);
         {
             let _s = obs::span("driver", "rpca driver fold");
-            for (zraw, t) in &partials {
-                z.add_assign(zraw);
-                linalg::vector::axpy(1.0, t, &mut tsum);
+            // By value: each D×K partial is freed as soon as it is folded.
+            for (zraw, t) in partials {
+                z.add_assign(&zraw);
+                linalg::vector::axpy(1.0, &t, &mut tsum);
             }
             // Mean correction: Z = YᵀP − μ⊗(1ᵀP) = YcᵀP.
             for j in 0..d_in {
@@ -216,17 +224,25 @@ pub fn run_rpca(
             }
         }
 
-        // Driver: recover the current top-d model from the small sketch.
-        // Z = YcᵀYc·W has singular values ≤ σᵢ²(Yc), so the captured
-        // energy Σ_{i<d} sᵢ(Z) never exceeds ‖Yc‖²_F and the residual
-        // noise estimate stays non-negative by construction.
+        // Driver: one Householder QR of the sketch, Z = Q·R. `Q` is the
+        // next basis (the power-iteration step — cheap at D×K, no
+        // distributed TSQR needed because Z already lives on the driver).
+        let qr = cluster.run_driver("rpca/orthonormalize", || qr_thin(&z));
+        drop(z); // Q and R carry everything later steps need from Z.
+
+        // Driver: recover the current top-d model from the K×K factor:
+        // R = U_R·S·V_Rᵀ gives Z = (Q·U_R)·S·V_Rᵀ, so the components are
+        // Q·U_R and the singular values are Z's own. Z = YcᵀYc·W has
+        // singular values ≤ σᵢ²(Yc), so the captured energy Σ_{i<d} sᵢ(Z)
+        // never exceeds ‖Yc‖²_F and the residual noise estimate stays
+        // non-negative by construction.
         let (c, ss, captured) = cluster.run_driver("rpca/recover", || -> Result<_> {
-            let svd = top_singular_triplets(&z, d).map_err(SpcaError::Numeric)?;
+            let svd = top_singular_triplets(&qr.r, d).map_err(SpcaError::Numeric)?;
             let captured: f64 = svd.s.iter().sum();
             let residual = (fnorm_c - captured).max(0.0);
             let free_dims = (n * (d_in - d)).max(1) as f64;
             let ss = (residual / free_dims).max(1e-12);
-            Ok((svd.u, ss, captured))
+            Ok((qr.q.matmul(&svd.u), ss, captured))
         })?;
 
         // Instrumentation: sampled reconstruction error (not charged).
@@ -274,10 +290,7 @@ pub fn run_rpca(
             });
         }
 
-        // Next basis: re-orthonormalize the sketch on the driver (the
-        // power-iteration step — cheap at D×K, no distributed TSQR
-        // needed because Z already lives on the driver).
-        w = cluster.run_driver("rpca/orthonormalize", || orthonormal_columns(&z));
+        w = qr.q;
 
         // Pass-boundary checkpoint, written before the stop checks so a
         // crash at any point resumes to exactly this state.
@@ -424,7 +437,6 @@ impl RpcaJobs for SparkRpcaJobs<'_> {
 /// to the EM path, so fault plans and multi-tenant scoping compose
 /// unchanged.
 pub fn fit_spark(cluster: &SimCluster, y: &SparseMat, config: &SpcaConfig) -> Result<SpcaRun> {
-    config.validate(y.cols())?;
     let input_file = crate::scoped_input(config, "input/Y");
     let run = (|| {
         if obs::enabled() {
@@ -578,7 +590,6 @@ impl RpcaJobs for MrRpcaJobs<'_> {
 /// Fits randomized PCA on the MapReduce engine: HDFS-materialized input,
 /// per-job overheads, partials metered as shuffle data.
 pub fn fit_mapreduce(cluster: &SimCluster, y: &SparseMat, config: &SpcaConfig) -> Result<SpcaRun> {
-    config.validate(y.cols())?;
     let input_file = crate::scoped_input(config, "input/Y");
     let run = (|| {
         if obs::enabled() {

@@ -309,6 +309,7 @@ pub fn fit(cluster: &SimCluster, y: &SparseMat, config: &SpcaConfig) -> Result<S
     // Algorithm dispatch happens here (not in `Spca`) so every caller —
     // the serving subsystem included — gets the randomized arm through
     // the same entry point.
+    config.validate(y.cols())?;
     if config.algorithm == crate::config::Algorithm::Randomized {
         return crate::rpca::fit_spark(cluster, y, config);
     }

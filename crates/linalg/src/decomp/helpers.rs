@@ -2,8 +2,9 @@
 //!
 //! Randomized PCA (Halko et al., arXiv:1007.5510) needs three small dense
 //! operations on the driver between distributed passes: re-orthonormalize
-//! the D×K sketch basis, recover the top-d triplets of the small covariance
-//! sketch, and measure how far two recovered subspaces are apart. These are
+//! the D×K sketch basis, recover the top-d triplets of the sketch (the
+//! randomized driver takes them from the K×K `R` of its QR), and measure
+//! how far two recovered subspaces are apart. These are
 //! thin, *validated* wrappers over [`qr_thin`] / [`svd_jacobi`] — all the
 //! shape edge cases (single column, rank-deficient, wide) are pinned by the
 //! property suite in `crates/linalg/tests/decomp_helpers.rs`.

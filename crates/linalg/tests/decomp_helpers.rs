@@ -1,9 +1,10 @@
 //! Property suite for the randomized-subspace-iteration helpers
-//! (`decomp::helpers`): orthonormality to 1e-12, reconstruction, and the
+//! (`decomp::helpers`): orthonormality to 1e-12, reconstruction, the
 //! degenerate shapes the rpca driver can feed them (single column,
-//! rank-deficient sketches, more columns than rows).
+//! rank-deficient sketches, more columns than rows), and the driver's
+//! model recovery through the sketch's QR factor `R`.
 
-use linalg::decomp::{orthonormal_columns, subspace_overlap, top_singular_triplets};
+use linalg::decomp::{orthonormal_columns, qr_thin, subspace_overlap, top_singular_triplets};
 use linalg::{LinalgError, Mat, Prng};
 
 const ORTHO_TOL: f64 = 1e-12;
@@ -144,4 +145,68 @@ fn subspace_overlap_identical_rotated_and_orthogonal() {
     other.add_scaled(-1.0, &qa.matmul(&coeffs));
     let disjoint = subspace_overlap(&a, &other).expect("svd converges");
     assert!(disjoint <= 1e-9, "orthogonal overlap {disjoint}");
+}
+
+/// `U·diag(s)·Vᵀ` with random orthonormal `U` (m×k) and `V` (k×k).
+fn planted(rng: &mut Prng, m: usize, s: &[f64]) -> Mat {
+    let k = s.len();
+    let mut u = orthonormal_columns(&rng.normal_mat(m, k));
+    let v = orthonormal_columns(&rng.normal_mat(k, k));
+    for r in 0..m {
+        for (c, &sv) in s.iter().enumerate() {
+            u[(r, c)] *= sv;
+        }
+    }
+    u.matmul_nt(&v)
+}
+
+/// The randomized driver's recovery: `Z = Q·R`, `R = U_R·S·V_Rᵀ`, so the
+/// top-d triplets of `Z` are `(Q·U_R, S)`.
+fn recover_via_r(z: &Mat, d: usize) -> (Vec<f64>, Mat) {
+    let qr = qr_thin(z);
+    let svd = top_singular_triplets(&qr.r, d).expect("rank fits");
+    (svd.s, qr.q.matmul(&svd.u))
+}
+
+#[test]
+fn recovery_through_qr_factor_matches_direct_triplets() {
+    let mut rng = Prng::seed_from_u64(0x0079);
+    // Geometric planted spectrum 100 → 0.1: every consecutive gap is ~1.9×,
+    // so each leading subspace is well defined.
+    let geometric = |k: usize| -> Vec<f64> {
+        (0..k).map(|i| 10f64.powf(2.0 - 3.0 * i as f64 / (k - 1) as f64)).collect()
+    };
+    let tall = planted(&mut rng, 400, &geometric(12));
+    let square = planted(&mut rng, 12, &geometric(12));
+    // Rank deficient: an all-zero column and a duplicated column.
+    let mut deficient = planted(&mut rng, 300, &geometric(10));
+    for r in 0..300 {
+        deficient[(r, 3)] = 0.0;
+        deficient[(r, 7)] = deficient[(r, 1)];
+    }
+    // Wide sketch (K > D): R is D×K and Q is D×D.
+    let wide = rng.normal_mat(6, 9);
+
+    let cases = [
+        ("tall d<K", &tall, 5),
+        ("tall d==K", &tall, 12),
+        ("square d==K", &square, 12),
+        ("rank-deficient", &deficient, 5),
+        ("wide", &wide, 4),
+    ];
+    for (name, z, d) in cases {
+        let direct = top_singular_triplets(z, d).expect("rank fits");
+        let (s, c) = recover_via_r(z, d);
+        assert_eq!((c.rows(), c.cols()), (z.rows(), d), "{name}");
+        for (i, (&got, &want)) in s.iter().zip(&direct.s).enumerate() {
+            let rel = (got - want).abs() / want;
+            assert!(rel <= 1e-12, "{name}: s[{i}] {got:e} vs {want:e} (rel {rel:.3e})");
+        }
+        // Q·U_R is exactly as orthonormal as Jacobi's own U on Z (whose
+        // stopping rule is absolute, so weak directions retain ~1e-9).
+        let (got, want) = (orthonormality_defect(&c), orthonormality_defect(&direct.u));
+        assert!(got <= want + ORTHO_TOL, "{name}: defect {got:.3e} vs direct {want:.3e}");
+        let overlap = subspace_overlap(&c, &direct.u).expect("svd converges");
+        assert!(overlap >= 1.0 - 1e-10, "{name}: subspace overlap {overlap}");
+    }
 }

@@ -276,13 +276,7 @@ fn serve(args: &Args<'_>) -> Result<(), String> {
 
     let y = std::sync::Arc::new(load_data(args)?);
     let model = load_model(args)?;
-    if y.cols() != model.input_dim() {
-        return Err(format!(
-            "data has {} columns but the model expects {}",
-            y.cols(),
-            model.input_dim()
-        ));
-    }
+    model.check_input_width(y.cols()).map_err(|e| e.to_string())?;
     let tenants: usize = args.numeric("tenants", 2)?;
     let batches: usize = args.numeric("batches", 100)?;
     let batch_rows: usize = args.numeric("batch-rows", 8)?;

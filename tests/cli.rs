@@ -171,3 +171,78 @@ fn helpful_errors_on_bad_usage() {
     let out = cli().args(["fit", "-i", "/nonexistent/file.sm", "-o", "/tmp/x"]).output().unwrap();
     assert!(!out.status.success());
 }
+
+/// Runs `spca-cli` expecting a clean failure: non-zero exit, no panic, and
+/// an `error:` line mentioning every one of `needles`.
+fn expect_typed_error(args: &[&str], needles: &[&str]) {
+    let out = cli().args(args).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(!out.status.success(), "{args:?} must fail");
+    assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
+    let line = err.lines().next().unwrap_or_default();
+    assert!(line.starts_with("error: "), "{args:?}: {err}");
+    for needle in needles {
+        assert!(line.contains(needle), "{args:?}: {line:?} lacks {needle:?}");
+    }
+}
+
+/// Generates a 200-row tweets-like matrix with `cols` columns into
+/// `dir/name` and returns its path.
+fn generate(dir: &std::path::Path, name: &str, cols: &str) -> String {
+    let data = dir.join(name).to_str().unwrap().to_string();
+    let out = cli().args(["generate", "tweets", "200", cols, "--seed", "3", "-o", &data]).output();
+    assert!(out.unwrap().status.success());
+    data
+}
+
+#[test]
+fn zero_components_is_a_config_error_not_a_panic() {
+    let dir = workdir("zero-d");
+    let data = generate(&dir, "data.sm", "40");
+    let model = dir.join("model.txt");
+    let fit = ["fit", "-d", "0", "-i", &data, "-o", model.to_str().unwrap()];
+    expect_typed_error(&fit, &["invalid fit config", "component"]);
+    assert!(!model.exists(), "a rejected fit must not write a model");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn zero_partitions_is_a_config_error_not_a_panic() {
+    let dir = workdir("zero-partitions");
+    let data = generate(&dir, "data.sm", "40");
+    let model = dir.join("model.txt");
+    for engine in ["spark", "mapreduce"] {
+        let fit = [
+            "fit",
+            "--partitions",
+            "0",
+            "--engine",
+            engine,
+            "-i",
+            &data,
+            "-o",
+            model.to_str().unwrap(),
+        ];
+        expect_typed_error(&fit, &["invalid fit config", "partition"]);
+    }
+    assert!(!model.exists(), "a rejected fit must not write a model");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn model_width_mismatch_is_a_typed_error_not_a_panic() {
+    let dir = workdir("width-mismatch");
+    let wide = generate(&dir, "wide.sm", "40");
+    let narrow = generate(&dir, "narrow.sm", "30");
+    let model = dir.join("model.txt").to_str().unwrap().to_string();
+    let latent = dir.join("latent.dm");
+    let out = cli().args(["fit", "-d", "2", "--iters", "2", "-i", &wide, "-o", &model]).output();
+    let out = out.unwrap();
+    assert!(out.status.success(), "fit failed: {}", String::from_utf8_lossy(&out.stderr));
+
+    let transform = ["transform", "-i", &narrow, "-m", &model, "-o", latent.to_str().unwrap()];
+    expect_typed_error(&transform, &["30 columns", "expects 40"]);
+    assert!(!latent.exists(), "a rejected transform must not write output");
+    expect_typed_error(&["likelihood", "-i", &narrow, "-m", &model], &["30 columns", "expects 40"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
