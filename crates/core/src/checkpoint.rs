@@ -24,19 +24,11 @@ use linalg::Mat;
 use crate::error::SpcaError;
 
 /// DFS name the EM driver checkpoints under (one in-flight run per
-/// cluster, like a Hadoop job's staging directory).
+/// cluster, like a Hadoop job's staging directory). Multi-tenant fits
+/// scope it to their job id like their input (`jobs/<job>/_checkpoints/
+/// em-state`), so tenant A's `SPCACKPT` blob can never collide with
+/// tenant B's.
 pub const CHECKPOINT_FILE: &str = "_checkpoints/em-state";
-
-/// The checkpoint's DFS name for a fit, scoped to its job id when one is
-/// set. A job-less fit keeps the legacy shared [`CHECKPOINT_FILE`] name;
-/// multi-tenant fits get `jobs/<job>/_checkpoints/em-state`, so tenant
-/// A's `SPCACKPT` blob can never collide with tenant B's.
-pub fn file_name(job: Option<&str>) -> String {
-    match job {
-        Some(job) => dcluster::hdfs::job_scoped(job, CHECKPOINT_FILE),
-        None => CHECKPOINT_FILE.to_string(),
-    }
-}
 
 /// DFS name of the randomized-arm pass checkpoint. Deliberately distinct
 /// from the EM name: the blob layout is shared (`EmCheckpoint` carries the
@@ -44,14 +36,6 @@ pub fn file_name(job: Option<&str>) -> String {
 /// randomized basis or vice versa — the separate name makes the two arms'
 /// crash-recovery state mutually invisible.
 pub const RPCA_CHECKPOINT_FILE: &str = "_checkpoints/rpca-state";
-
-/// Job-scoped variant of [`RPCA_CHECKPOINT_FILE`], mirroring [`file_name`].
-pub fn rpca_file_name(job: Option<&str>) -> String {
-    match job {
-        Some(job) => dcluster::hdfs::job_scoped(job, RPCA_CHECKPOINT_FILE),
-        None => RPCA_CHECKPOINT_FILE.to_string(),
-    }
-}
 
 const MAGIC: &[u8; 8] = b"SPCACKPT";
 const VERSION: u32 = 2;

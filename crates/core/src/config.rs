@@ -170,9 +170,10 @@ impl SpcaConfig {
 
     /// Rejects nonsensical knob combinations before any cluster work runs.
     /// `n_cols` is the input width `D` (the sketch `d + p` must fit in it).
-    /// Both arms reject zero components and zero partitions; the randomized
-    /// arm has three more checks, each pinned by a test in
-    /// `crates/core/tests/rpca.rs`.
+    /// Both arms reject zero components, zero partitions and a zero
+    /// checkpoint interval; EM rejects a zero iteration cap, so every
+    /// valid fit runs at least one pass. The randomized arm has three
+    /// more checks, each pinned by a test in `crates/core/tests/rpca.rs`.
     pub fn validate(&self, n_cols: usize) -> Result<(), SpcaError> {
         if self.components == 0 {
             return Err(SpcaError::InvalidConfig {
@@ -184,7 +185,27 @@ impl SpcaConfig {
                 what: "need at least one partition (partitions = 0)".into(),
             });
         }
+        if self.checkpoint_every == Some(0) {
+            return Err(SpcaError::InvalidConfig {
+                what: "checkpoint interval must be at least one iteration \
+                       (checkpoint_every = 0)"
+                    .into(),
+            });
+        }
         if self.algorithm != Algorithm::Randomized {
+            if self.max_iters == 0 {
+                return Err(SpcaError::InvalidConfig {
+                    what: "need at least one EM iteration (max_iters = 0 would return the \
+                           untrained initial model)"
+                        .into(),
+                });
+            }
+            if self.smart_guess.as_ref().is_some_and(|sg| {
+                sg.iterations == 0 || !(sg.sample_fraction > 0.0 && sg.sample_fraction <= 1.0)
+            }) {
+                let what = "smart guess needs iterations >= 1 and a sample fraction in (0, 1]";
+                return Err(SpcaError::InvalidConfig { what: what.into() });
+            }
             return Ok(());
         }
         if self.rpca_oversample == 0 {
@@ -267,9 +288,25 @@ impl SpcaConfig {
         self
     }
 
-    /// Enables DFS checkpointing of the EM state every `iters` iterations.
+    /// The smart-guess warm-up's config: `sg.iterations` EM iterations on
+    /// the row sample, no stop rule and no fault knobs (checkpointing
+    /// would collide with the full run's checkpoint file, and an injected
+    /// crash belongs to the main loop only).
+    pub(crate) fn warm_up(&self, sg: &SmartGuess) -> SpcaConfig {
+        SpcaConfig {
+            smart_guess: None,
+            max_iters: sg.iterations,
+            rel_tolerance: None,
+            target_error: None,
+            checkpoint_every: None,
+            crash_at_iteration: None,
+            ..self.clone()
+        }
+    }
+
+    /// Enables DFS checkpointing of the EM state every `iters` iterations
+    /// (`0` is rejected by [`Self::validate`]).
     pub fn with_checkpoint_every(mut self, iters: usize) -> Self {
-        assert!(iters > 0, "checkpoint interval must be at least one iteration");
         self.checkpoint_every = Some(iters);
         self
     }
@@ -406,9 +443,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "checkpoint interval")]
     fn zero_checkpoint_interval_rejected() {
-        let _ = SpcaConfig::new(2).with_checkpoint_every(0);
+        for alg in [Algorithm::PpcaEm, Algorithm::Randomized] {
+            let err = SpcaConfig::new(2).with_algorithm(alg).with_checkpoint_every(0).validate(10);
+            assert!(
+                matches!(err, Err(SpcaError::InvalidConfig { what }) if what.contains("checkpoint"))
+            );
+        }
+    }
+
+    #[test]
+    fn zero_iterations_rejected_on_the_em_arm_only() {
+        let err = SpcaConfig::new(2).with_max_iters(0).validate(10);
+        assert!(
+            matches!(err, Err(SpcaError::InvalidConfig { what }) if what.contains("max_iters"))
+        );
+        // The randomized arm runs rpca_power_iters + 1 passes; max_iters is inert.
+        let rpca = SpcaConfig::new(2).with_algorithm(Algorithm::Randomized).with_max_iters(0);
+        assert!(rpca.validate(20).is_ok());
     }
 
     #[test]

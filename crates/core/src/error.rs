@@ -22,9 +22,9 @@ pub enum SpcaError {
     /// The simulated cluster refused a resource (driver OOM — the MLlib
     /// failure mode of Figures 7–8).
     Cluster(ClusterError),
-    /// The simulated driver crashed mid-run (fault injection via
-    /// `SpcaConfig::with_crash_at_iteration`). Re-running `fit` on the
-    /// same cluster resumes from the last checkpoint.
+    /// The simulated driver crashed mid-run (fault injection through
+    /// [`crate::SpcaConfig`]). Re-running `fit` on the same cluster
+    /// resumes from the last checkpoint.
     DriverCrashed {
         /// The iteration the crash interrupted.
         iteration: usize,

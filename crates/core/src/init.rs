@@ -1,10 +1,10 @@
 //! Initialization of `C` and `ss`: random (Algorithm 4, lines 1–2) and
 //! smart-guess (sPCA-SG, Section 5.2).
 
-use dcluster::SimCluster;
 use linalg::{Mat, Prng, SparseMat};
 
 use crate::config::{SmartGuess, SpcaConfig};
+use crate::model::SpcaRun;
 use crate::Result;
 
 /// Random initialization — the paper's `C = normrnd(D, d)`,
@@ -20,16 +20,19 @@ pub fn random_init(d_in: usize, d: usize, seed: u64) -> (Mat, f64) {
 /// Smart-guess initialization: fit on a small random row sample and return
 /// the resulting `(C, ss)` as the starting point for the full run.
 ///
+/// `fit` is the engine's input pipeline (`fit_with_input`): it fits the
+/// sample under the warm-up config and the given DFS input name, so the
+/// warm-up runs on the same engine as the full fit.
+///
 /// The paper notes this is only possible because sPCA's state is the small
 /// D×d matrix `C` — independent of N — whereas Mahout-PCA's random
 /// initialization has N rows and cannot be transplanted from a sample.
-pub fn smart_guess_init(
-    cluster: &SimCluster,
+pub(crate) fn smart_guess_init(
     y: &SparseMat,
     config: &SpcaConfig,
     sg: &SmartGuess,
+    fit: impl FnOnce(&SparseMat, &SpcaConfig, &str) -> Result<SpcaRun>,
 ) -> Result<(Mat, f64)> {
-    assert!(sg.sample_fraction > 0.0 && sg.sample_fraction <= 1.0, "bad sample fraction");
     let want = ((y.rows() as f64) * sg.sample_fraction).ceil() as usize;
     // Enough rows for the EM to see a d-dimensional subspace.
     let k = want.max(2 * config.components + 2).min(y.rows());
@@ -37,24 +40,8 @@ pub fn smart_guess_init(
     let idx = rng.sample_indices(y.rows(), k);
     let sample = y.select_rows(&idx);
 
-    // The warm-up must not inherit fault knobs: checkpointing would
-    // collide with the full run's checkpoint file, and an injected crash
-    // belongs to the main loop only.
-    let warm_config = SpcaConfig {
-        smart_guess: None,
-        max_iters: sg.iterations,
-        rel_tolerance: None,
-        target_error: None,
-        checkpoint_every: None,
-        crash_at_iteration: None,
-        ..config.clone()
-    };
-    let run = crate::spark::fit_with_input(
-        cluster,
-        &sample,
-        &warm_config,
-        &crate::scoped_input(&warm_config, "input/Y.sample"),
-    )?;
+    let warm = config.warm_up(sg);
+    let run = fit(&sample, &warm, &crate::scoped_name(&warm, "input/Y.sample"))?;
     Ok((run.model.components().clone(), run.model.noise_variance()))
 }
 

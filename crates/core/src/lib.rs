@@ -30,6 +30,7 @@ pub mod ablation;
 pub mod accuracy;
 pub mod checkpoint;
 pub mod config;
+pub mod driver;
 pub mod em;
 pub mod error;
 pub mod frobenius;
@@ -55,10 +56,10 @@ use linalg::SparseMat;
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SpcaError>;
 
-/// DFS name for a fit's materialized input: the legacy shared `name`
-/// when the config carries no job id, `jobs/<id>/<name>` otherwise
-/// (mirrors [`checkpoint::file_name`] for checkpoints).
-pub(crate) fn scoped_input(config: &SpcaConfig, name: &str) -> String {
+/// DFS name for a fit's materialized input or checkpoint: the legacy
+/// shared `name` when the config carries no job id, `jobs/<id>/<name>`
+/// otherwise.
+pub(crate) fn scoped_name(config: &SpcaConfig, name: &str) -> String {
     match config.job_id.as_deref() {
         Some(job) => dcluster::hdfs::job_scoped(job, name),
         None => name.to_string(),

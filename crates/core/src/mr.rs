@@ -13,6 +13,9 @@
 //! * `ss3Job` — emits a single scalar per mapper (the paper: "the mapper
 //!   output of this job is a scalar, which reduces the amount of
 //!   intermediate data").
+//!
+//! The randomized arm ([`crate::rpca`]) shares `fit_with_input`, the one
+//! MapReduce input pipeline, and runs every job as a `PartitionJob`.
 
 use dcluster::SimCluster;
 use linalg::bytes::ByteSized;
@@ -20,12 +23,13 @@ use linalg::wire::{self, Wire, WireError, WireReader};
 use linalg::{Mat, SparseMat};
 use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
 
-use crate::config::SpcaConfig;
-use crate::em::{run_em, EmJobs};
+use crate::config::{Algorithm, SpcaConfig};
+use crate::driver::JobInput;
+use crate::em::{fit_em, EmJobs};
 use crate::frobenius;
-use crate::init;
 use crate::mean_prop::{ss3_block_prec, ytx_counter_snapshot, YtxPartial};
 use crate::model::SpcaRun;
+use crate::rpca::{run_rpca, RpcaJobs};
 use crate::Result;
 
 /// Composite shuffle key of the `YtXJob`.
@@ -80,42 +84,28 @@ impl Wire for MrKey {
     }
 }
 
-/// `meanJob`: column sums, reduced to one vector (driver divides by N).
-struct MeanJob;
-
-impl MapReduceJob for MeanJob {
-    type Input = SparseMat;
-    type Key = ();
-    type Value = Vec<f64>;
-    type Output = Vec<f64>;
-
-    fn map(&self, block: &SparseMat, emitter: &mut Emitter<(), Vec<f64>>) {
-        emitter.emit((), block.col_sums());
-    }
-
-    fn reduce(&self, _key: (), values: Vec<Vec<f64>>) -> Vec<f64> {
-        sum_vectors(values)
-    }
+/// The one-time `meanJob`/`FnormJob` and the per-iteration `ss3Job`:
+/// each mapper emits one value under the single key `()` — a column-sum
+/// vector or a scalar (the paper: "the mapper output of this job is a
+/// scalar, which reduces the amount of intermediate data") — and one
+/// reducer folds them with `reduce`.
+struct SumJob<'f, T> {
+    map: &'f (dyn Fn(&SparseMat) -> T + Sync),
+    reduce: fn(Vec<T>) -> T,
 }
 
-/// `FnormJob`: Algorithm 3 partial per block.
-struct FnormJob {
-    mean: Vec<f64>,
-    mean_norm_sq: f64,
-}
-
-impl MapReduceJob for FnormJob {
+impl<T: Send + Wire> MapReduceJob for SumJob<'_, T> {
     type Input = SparseMat;
     type Key = ();
-    type Value = f64;
-    type Output = f64;
+    type Value = T;
+    type Output = T;
 
-    fn map(&self, block: &SparseMat, emitter: &mut Emitter<(), f64>) {
-        emitter.emit((), frobenius::centered_sq_block(block, &self.mean, self.mean_norm_sq));
+    fn map(&self, block: &SparseMat, emitter: &mut Emitter<(), T>) {
+        emitter.emit((), (self.map)(block));
     }
 
-    fn reduce(&self, _key: (), values: Vec<f64>) -> f64 {
-        values.iter().sum()
+    fn reduce(&self, _key: (), values: Vec<T>) -> T {
+        (self.reduce)(values)
     }
 }
 
@@ -152,29 +142,6 @@ impl MapReduceJob for YtXJob {
     }
 }
 
-/// `ss3Job`: scalar mapper output.
-struct Ss3Job {
-    cm: Mat,
-    xm: Vec<f64>,
-    c_new: Mat,
-    precision: linalg::Precision,
-}
-
-impl MapReduceJob for Ss3Job {
-    type Input = SparseMat;
-    type Key = ();
-    type Value = f64;
-    type Output = f64;
-
-    fn map(&self, block: &SparseMat, emitter: &mut Emitter<(), f64>) {
-        emitter.emit((), ss3_block_prec(block, &self.cm, &self.xm, &self.c_new, self.precision));
-    }
-
-    fn reduce(&self, _key: (), values: Vec<f64>) -> f64 {
-        values.iter().sum()
-    }
-}
-
 fn sum_vectors(mut values: Vec<Vec<f64>>) -> Vec<f64> {
     let mut acc = values.pop().expect("reducer gets at least one value");
     for v in values {
@@ -183,9 +150,38 @@ fn sum_vectors(mut values: Vec<Vec<f64>>) -> Vec<f64> {
     acc
 }
 
-struct MrJobs<'a> {
+/// A randomized-arm job: one partial per partition, keyed by partition
+/// index. Unlike the EM jobs (which reduce across partitions at the
+/// reducers), exactly one value arrives per key, so the reducer is an
+/// identity pass-through and the sorted job output is the partials in
+/// partition order — the property the cross-engine bitwise bar rests on.
+/// The engine still meters the partials as shuffle data (they really do
+/// cross the network to wherever the driver-side fold runs) and still
+/// pays job init, spills and re-execution.
+struct PartitionJob<'f, T> {
+    f: &'f (dyn Fn(&SparseMat) -> T + Sync),
+}
+
+impl<T: Send + Wire> MapReduceJob for PartitionJob<'_, T> {
+    type Input = (u32, SparseMat);
+    type Key = u32;
+    type Value = T;
+    type Output = T;
+
+    fn map(&self, (partition, block): &(u32, SparseMat), emitter: &mut Emitter<u32, T>) {
+        emitter.emit(*partition, (self.f)(block));
+    }
+
+    fn reduce(&self, _key: u32, mut values: Vec<T>) -> T {
+        values.pop().expect("one partial per partition key")
+    }
+}
+
+/// The jobs over one input split into `blocks`: plain CSR blocks for EM,
+/// `(partition, block)` pairs for the randomized arm's partition keys.
+struct MrJobs<'a, B> {
     engine: MapReduceEngine<'a>,
-    blocks: Vec<SparseMat>,
+    blocks: Vec<B>,
     n: usize,
     d_in: usize,
     d: usize,
@@ -193,7 +189,21 @@ struct MrJobs<'a> {
     precision: linalg::Precision,
 }
 
-impl EmJobs for MrJobs<'_> {
+impl<'a, B> MrJobs<'a, B> {
+    fn new(cluster: &'a SimCluster, y: &SparseMat, config: &SpcaConfig, blocks: Vec<B>) -> Self {
+        MrJobs {
+            engine: MapReduceEngine::new(cluster),
+            blocks,
+            n: y.rows(),
+            d_in: y.cols(),
+            d: config.components,
+            reducers: cluster.config().nodes.max(1),
+            precision: config.precision,
+        }
+    }
+}
+
+impl<B> JobInput for MrJobs<'_, B> {
     fn num_rows(&self) -> usize {
         self.n
     }
@@ -201,19 +211,19 @@ impl EmJobs for MrJobs<'_> {
     fn num_cols(&self) -> usize {
         self.d_in
     }
+}
 
+impl EmJobs for MrJobs<'_, SparseMat> {
     fn mean_job(&mut self) -> Vec<f64> {
-        let (out, _) = self.engine.run_job("meanJob", &MeanJob, &self.blocks, 1);
-        let mut mean = out.into_iter().next().expect("meanJob output").1;
+        let mut mean = self.sum_job("meanJob", &|block| block.col_sums(), sum_vectors);
         linalg::vector::scale(1.0 / self.n as f64, &mut mean);
         mean
     }
 
     fn fnorm_job(&mut self, mean: &[f64]) -> f64 {
-        let job =
-            FnormJob { mean: mean.to_vec(), mean_norm_sq: linalg::vector::norm2_sq(mean) };
-        let (out, _) = self.engine.run_job("FnormJob", &job, &self.blocks, 1);
-        out.into_iter().next().expect("FnormJob output").1
+        let msum = linalg::vector::norm2_sq(mean);
+        let partial = |block: &SparseMat| frobenius::centered_sq_block(block, mean, msum);
+        self.sum_job("FnormJob", &partial, |v| v.iter().sum())
     }
 
     fn ytx_job(&mut self, cm: &Mat, xm: &[f64]) -> YtxPartial {
@@ -254,14 +264,38 @@ impl EmJobs for MrJobs<'_> {
                 + cluster.sizing().f64_payload(xm.len())
                 + cluster.wire_size(c_new),
         );
-        let job = Ss3Job {
-            cm: cm.clone(),
-            xm: xm.to_vec(),
-            c_new: c_new.clone(),
-            precision: self.precision,
-        };
-        let (out, _) = self.engine.run_job("ss3Job", &job, &self.blocks, 1);
-        out.into_iter().next().expect("ss3Job output").1
+        let precision = self.precision;
+        let partial = |block: &SparseMat| ss3_block_prec(block, cm, xm, c_new, precision);
+        self.sum_job("ss3Job", &partial, |v| v.iter().sum())
+    }
+}
+
+impl MrJobs<'_, SparseMat> {
+    /// Runs a [`SumJob`] on one reducer and returns its single output.
+    fn sum_job<T: Send + Wire>(
+        &self,
+        label: &str,
+        map: &(dyn Fn(&SparseMat) -> T + Sync),
+        reduce: fn(Vec<T>) -> T,
+    ) -> T {
+        let (out, _) = self.engine.run_job(label, &SumJob { map, reduce }, &self.blocks, 1);
+        out.into_iter().next().expect("one reducer output").1
+    }
+}
+
+impl RpcaJobs for MrJobs<'_, (u32, SparseMat)> {
+    fn per_partition<T>(
+        &mut self,
+        label: &str,
+        wide: bool,
+        f: &(dyn Fn(&SparseMat) -> T + Sync),
+    ) -> Vec<T>
+    where
+        T: Clone + Send + Sync + Wire,
+    {
+        let reducers = if wide { self.reducers } else { 1 };
+        let (out, _) = self.engine.run_job(label, &PartitionJob { f }, &self.blocks, reducers);
+        out.into_iter().map(|(_, v)| v).collect()
     }
 }
 
@@ -269,13 +303,8 @@ impl EmJobs for MrJobs<'_> {
 /// file and stage labels are scoped to `jobs/<id>/` like the Spark
 /// engine's, so concurrent tenants on one cluster never collide.
 pub fn fit(cluster: &SimCluster, y: &SparseMat, config: &SpcaConfig) -> Result<SpcaRun> {
-    // Algorithm dispatch mirrors `spark::fit`: the randomized arm rides
-    // the same entry point, so job scoping and callers stay unchanged.
     config.validate(y.cols())?;
-    if config.algorithm == crate::config::Algorithm::Randomized {
-        return crate::rpca::fit_mapreduce(cluster, y, config);
-    }
-    let input = crate::scoped_input(config, "input/Y");
+    let input = crate::scoped_name(config, "input/Y");
     let run = fit_with_input(cluster, y, config, &input);
     cluster.set_job_scope(None);
     run
@@ -283,14 +312,19 @@ pub fn fit(cluster: &SimCluster, y: &SparseMat, config: &SpcaConfig) -> Result<S
 
 /// [`fit`] with an explicit DFS name for the materialized input (the
 /// smart-guess warm-up uses a separate name for its row sample).
+///
+/// The one MapReduce input pipeline: both algorithms share everything up
+/// to the dispatch on [`SpcaConfig::algorithm`], mirroring
+/// `spark::fit_with_input`.
 fn fit_with_input(
     cluster: &SimCluster,
     y: &SparseMat,
     config: &SpcaConfig,
     input_file: &str,
 ) -> Result<SpcaRun> {
+    let randomized = config.algorithm == Algorithm::Randomized;
     if obs::enabled() {
-        cluster.set_trace_label("sPCA-MR");
+        cluster.set_trace_label(if randomized { "rPCA-MR" } else { "sPCA-MR" });
     }
     cluster.set_job_scope(config.job_id.as_deref());
     let partitions = config
@@ -305,63 +339,16 @@ fn fit_with_input(
     // length under the default policy, so re-reads match the real file.
     cluster.dfs().seed(cluster, input_file, cluster.wire_size(y));
 
-    // Smart guess warms up on the sample with this same engine; its cost
-    // is charged to this run (the paper counts the warm-up delay).
-    let warm_time = cluster.metrics().virtual_time_secs;
-    let warm_bytes = cluster.metrics().intermediate_bytes;
-    let tracing_init = obs::enabled() && config.smart_guess.is_some();
-    if tracing_init {
-        cluster.trace_begin("init", "init", Vec::new());
-    }
-    let init_state = match &config.smart_guess {
-        Some(sg) => {
-            let want = ((y.rows() as f64) * sg.sample_fraction).ceil() as usize;
-            let k = want.max(2 * config.components + 2).min(y.rows());
-            let mut rng = linalg::Prng::seed_from_u64(config.seed ^ 0x5650);
-            let idx = rng.sample_indices(y.rows(), k);
-            let sample = y.select_rows(&idx);
-            // The warm-up must not inherit fault knobs: checkpointing
-            // would collide with the full run's checkpoint file, and an
-            // injected crash belongs to the main loop only.
-            let warm = SpcaConfig {
-                smart_guess: None,
-                max_iters: sg.iterations,
-                rel_tolerance: None,
-                target_error: None,
-                checkpoint_every: None,
-                crash_at_iteration: None,
-                ..config.clone()
-            };
-            let run =
-                fit_with_input(cluster, &sample, &warm, &crate::scoped_input(&warm, "input/Y.sample"))?;
-            (run.model.components().clone(), run.model.noise_variance())
-        }
-        None => init::random_init(y.cols(), config.components, config.seed),
-    };
-    if tracing_init {
-        cluster.trace_end("init", "init", vec![("kind", "smart-guess".into())]);
-    }
-    let warm_elapsed = cluster.metrics().virtual_time_secs - warm_time;
-    let warm_intermediate = cluster.metrics().intermediate_bytes - warm_bytes;
-
     let error_sample = crate::accuracy::sample_rows(y, config.error_sample_rows, config.seed);
-    let reducers = cluster.config().nodes.max(1);
-    let mut jobs = MrJobs {
-        engine: MapReduceEngine::new(cluster),
-        blocks,
-        n: y.rows(),
-        d_in: y.cols(),
-        d: config.components,
-        reducers,
-        precision: config.precision,
-    };
-    let mut run = run_em(cluster, &mut jobs, &error_sample, config, init_state)?;
-    for it in &mut run.iterations {
-        it.virtual_time_secs += warm_elapsed;
+    if randomized {
+        let keyed = blocks.into_iter().enumerate().map(|(i, b)| (i as u32, b)).collect();
+        let mut jobs = MrJobs::new(cluster, y, config, keyed);
+        return run_rpca(cluster, &mut jobs, &error_sample, config);
     }
-    run.virtual_time_secs += warm_elapsed;
-    run.intermediate_bytes += warm_intermediate;
-    Ok(run)
+    let mut jobs = MrJobs::new(cluster, y, config, blocks);
+    fit_em(cluster, &mut jobs, y, &error_sample, config, |sample, warm, input| {
+        fit_with_input(cluster, sample, warm, input)
+    })
 }
 
 #[cfg(test)]

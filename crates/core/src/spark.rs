@@ -14,6 +14,10 @@
 //!   Section 4.2.
 //! * `ss3SparkJob` — one `aggregate_partitions` folding the scalar
 //!   `Σ xᵢ·(C'yᵢ')` via the blocked `ss3_block`.
+//!
+//! The randomized arm ([`crate::rpca`]) runs over the same persisted RDD:
+//! `fit_with_input` is the one input pipeline for both algorithms, and
+//! its jobs are `map_partitions` + `collect` stages over it.
 
 use dcluster::SimCluster;
 use linalg::bytes::ByteSized;
@@ -22,11 +26,13 @@ use linalg::wire::{self, Wire, WireError, WireReader};
 use linalg::{Mat, SparseMat};
 use sparkle::{Lineage, Rdd, SparkleContext};
 
-use crate::config::SpcaConfig;
-use crate::em::{run_em, EmJobs};
-use crate::init;
+use crate::config::{Algorithm, SpcaConfig};
+use crate::driver::JobInput;
+use crate::em::{fit_em, EmJobs};
+use crate::frobenius;
 use crate::mean_prop::{ss3_block_prec, ytx_counter_snapshot, YtxPartial};
 use crate::model::SpcaRun;
+use crate::rpca::{run_rpca, RpcaJobs};
 use crate::Result;
 
 /// One sparse matrix row as an RDD element.
@@ -116,6 +122,13 @@ pub fn to_rows(y: &SparseMat) -> Vec<SpRow> {
         .collect()
 }
 
+/// Reassembles a partition slice into a CSR block (O(z) copy, no sorting)
+/// for the batched kernels.
+fn block_of(d_in: usize, part: &[SpRow]) -> SparseMat {
+    let views: Vec<SparseRow> = part.iter().map(SpRow::view).collect();
+    SparseMat::from_row_views(d_in, &views)
+}
+
 /// Accumulator wrapper so `f64` partials get a wire size.
 #[derive(Debug, Clone, Copy, Default)]
 struct Scalar(f64);
@@ -167,7 +180,7 @@ struct SparkJobs<'a> {
     precision: linalg::Precision,
 }
 
-impl EmJobs for SparkJobs<'_> {
+impl JobInput for SparkJobs<'_> {
     fn num_rows(&self) -> usize {
         self.n
     }
@@ -175,7 +188,9 @@ impl EmJobs for SparkJobs<'_> {
     fn num_cols(&self) -> usize {
         self.d_in
     }
+}
 
+impl EmJobs for SparkJobs<'_> {
     fn mean_job(&mut self) -> Vec<f64> {
         let d_in = self.d_in;
         let (sums, _) = self.rdd.aggregate(
@@ -195,21 +210,13 @@ impl EmJobs for SparkJobs<'_> {
 
     fn fnorm_job(&mut self, mean: &[f64]) -> f64 {
         let msum = linalg::vector::norm2_sq(mean);
+        let d_in = self.d_in;
         let (total, _) = self.rdd.aggregate_partitions(
             "FnormJob",
             || Scalar(0.0),
-            |acc, part| {
-                // Algorithm 3 over the whole partition slice — the same
-                // association as the MapReduce engine's per-block pass.
-                let mut s = part.len() as f64 * msum;
-                for row in part {
-                    for (c, v) in row.view().iter() {
-                        let m = mean[c];
-                        s += (v - m) * (v - m) - m * m;
-                    }
-                }
-                acc.0 += s;
-            },
+            // Algorithm 3 over the whole partition slice — the same
+            // association as the MapReduce engine's per-block pass.
+            |acc, part| acc.0 += frobenius::centered_sq_block(&block_of(d_in, part), mean, msum),
             |acc, other| acc.0 += other.0,
         );
         total.0
@@ -226,17 +233,13 @@ impl EmJobs for SparkJobs<'_> {
         let precision = self.precision;
         let before = ytx_counter_snapshot();
         // Batched path: each task reassembles its partition slice into a
-        // CSR block (O(z) copy, no sorting) and runs the blocked kernels
-        // over it — one add_block per partition, so reassociation happens
-        // only at partition boundaries, same as the merge tree.
+        // CSR block and runs the blocked kernels over it — one add_block
+        // per partition, so reassociation happens only at partition
+        // boundaries, same as the merge tree.
         let (partial, _bytes) = self.rdd.aggregate_partitions(
             "YtXJob",
             || YtxPartial::new(d),
-            |acc, part| {
-                let views: Vec<SparseRow> = part.iter().map(SpRow::view).collect();
-                let block = SparseMat::from_row_views(d_in, &views);
-                acc.add_block_prec(&block, cm, xm, precision);
-            },
+            |acc, part| acc.add_block_prec(&block_of(d_in, part), cm, xm, precision),
             |acc, other| acc.merge(other),
         );
         if obs::enabled() {
@@ -258,14 +261,27 @@ impl EmJobs for SparkJobs<'_> {
         let (part, _) = self.rdd.aggregate_partitions(
             "ss3Job",
             || Scalar(0.0),
-            |acc, part| {
-                let views: Vec<SparseRow> = part.iter().map(SpRow::view).collect();
-                let block = SparseMat::from_row_views(d_in, &views);
-                acc.0 += ss3_block_prec(&block, cm, xm, c_new, precision);
-            },
+            |acc, part| acc.0 += ss3_block_prec(&block_of(d_in, part), cm, xm, c_new, precision),
             |acc, other| acc.0 += other.0,
         );
         part.0
+    }
+}
+
+impl RpcaJobs for SparkJobs<'_> {
+    fn per_partition<T>(
+        &mut self,
+        label: &str,
+        _wide: bool,
+        f: &(dyn Fn(&SparseMat) -> T + Sync),
+    ) -> Vec<T>
+    where
+        T: Clone + Send + Sync + Wire,
+    {
+        let d_in = self.d_in;
+        // collect() preserves partition order and charges one flow per
+        // partition — the partial each executor ships home.
+        self.rdd.map_partitions(label, |part| vec![f(&block_of(d_in, part))]).collect()
     }
 }
 
@@ -304,16 +320,10 @@ pub fn transform(
 /// Fits sPCA on the Spark-like engine. With a `job_id` set the input
 /// file and stage labels are scoped to `jobs/<id>/` so concurrent
 /// tenants on one cluster never collide (checkpoints scope through
-/// `checkpoint::file_name` inside `run_em`).
+/// the driver loop's checkpoint name).
 pub fn fit(cluster: &SimCluster, y: &SparseMat, config: &SpcaConfig) -> Result<SpcaRun> {
-    // Algorithm dispatch happens here (not in `Spca`) so every caller —
-    // the serving subsystem included — gets the randomized arm through
-    // the same entry point.
     config.validate(y.cols())?;
-    if config.algorithm == crate::config::Algorithm::Randomized {
-        return crate::rpca::fit_spark(cluster, y, config);
-    }
-    let input = crate::scoped_input(config, "input/Y");
+    let input = crate::scoped_name(config, "input/Y");
     let run = fit_with_input(cluster, y, config, &input);
     cluster.set_job_scope(None);
     run
@@ -322,14 +332,20 @@ pub fn fit(cluster: &SimCluster, y: &SparseMat, config: &SpcaConfig) -> Result<S
 /// [`fit`] with an explicit DFS name for the materialized input — the
 /// smart-guess warm-up fits its row sample under a different name so it
 /// does not clobber the full run's input file.
+///
+/// The one Spark input pipeline: both algorithms share everything up to
+/// the dispatch on [`SpcaConfig::algorithm`] (here, not in `Spca`, so
+/// every caller — the serving subsystem included — gets the randomized
+/// arm through the same entry point).
 pub(crate) fn fit_with_input(
     cluster: &SimCluster,
     y: &SparseMat,
     config: &SpcaConfig,
     input_file: &str,
 ) -> Result<SpcaRun> {
+    let randomized = config.algorithm == Algorithm::Randomized;
     if obs::enabled() {
-        cluster.set_trace_label("sPCA-Spark");
+        cluster.set_trace_label(if randomized { "rPCA-Spark" } else { "sPCA-Spark" });
     }
     cluster.set_job_scope(config.job_id.as_deref());
     let ctx = SparkleContext::new(cluster);
@@ -344,9 +360,9 @@ pub(crate) fn fit_with_input(
     // re-reads and re-replication charge the same bytes a real file holds.
     cluster.dfs().seed(cluster, input_file, cluster.wire_size(y));
 
-    // Build and persist the input RDD (cached across all EM iterations),
-    // with the lineage that rebuilds any partition a node crash evicts:
-    // re-read the partition's slice of the input file and re-parse it.
+    // Build and persist the input RDD (cached across all passes), with the
+    // lineage that rebuilds any partition a node crash evicts: re-read the
+    // partition's slice of the input file and re-parse it.
     let blocks: Vec<Vec<SpRow>> = y.split_rows(partitions).iter().map(to_rows).collect();
     let mut rdd = ctx.from_partitions(blocks);
     let n_rows = y.rows();
@@ -361,26 +377,6 @@ pub(crate) fn fit_with_input(
         .with_source(input_file),
     );
 
-    // Initialization: random, or smart-guess warm start (sPCA-SG). The
-    // warm-up's time and intermediate data are charged to this run — the
-    // paper reports the (527 s) initialization delay as part of sPCA-SG's
-    // timeline.
-    let warm_time = cluster.metrics().virtual_time_secs;
-    let warm_bytes = cluster.metrics().intermediate_bytes;
-    if obs::enabled() {
-        cluster.trace_begin("init", "init", Vec::new());
-    }
-    let init_state = match &config.smart_guess {
-        Some(sg) => init::smart_guess_init(cluster, y, config, sg)?,
-        None => init::random_init(y.cols(), config.components, config.seed),
-    };
-    if obs::enabled() {
-        let kind = if config.smart_guess.is_some() { "smart-guess" } else { "random" };
-        cluster.trace_end("init", "init", vec![("kind", kind.into())]);
-    }
-    let warm_elapsed = cluster.metrics().virtual_time_secs - warm_time;
-    let warm_intermediate = cluster.metrics().intermediate_bytes - warm_bytes;
-
     let error_sample = crate::accuracy::sample_rows(y, config.error_sample_rows, config.seed);
     let mut jobs = SparkJobs {
         rdd,
@@ -389,13 +385,12 @@ pub(crate) fn fit_with_input(
         d: config.components,
         precision: config.precision,
     };
-    let mut run = run_em(cluster, &mut jobs, &error_sample, config, init_state)?;
-    for it in &mut run.iterations {
-        it.virtual_time_secs += warm_elapsed;
+    if randomized {
+        return run_rpca(cluster, &mut jobs, &error_sample, config);
     }
-    run.virtual_time_secs += warm_elapsed;
-    run.intermediate_bytes += warm_intermediate;
-    Ok(run)
+    fit_em(cluster, &mut jobs, y, &error_sample, config, |sample, warm, input| {
+        fit_with_input(cluster, sample, warm, input)
+    })
 }
 
 #[cfg(test)]

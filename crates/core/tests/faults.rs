@@ -228,3 +228,47 @@ fn smart_guess_under_chaos_stays_bitwise_deterministic() {
     let faulty = Spca::new(config).fit_spark(&c, &y).unwrap();
     assert_eq!(model_bits(&clean), model_bits(&faulty));
 }
+
+#[test]
+fn crash_on_the_last_pass_resumes_into_the_clean_run() {
+    // A checkpoint written by the final pass leaves no pass to resume
+    // into: the rerun starts fresh, which is deterministic, so it must
+    // reproduce the uninterrupted run — model, pass count and error bits.
+    let y = test_matrix(18);
+    let em = SpcaConfig::new(3).with_max_iters(3).with_rel_tolerance(None);
+    let rpca = SpcaConfig::new(3)
+        .with_algorithm(spca_core::Algorithm::Randomized)
+        .with_rpca_oversample(4)
+        .with_rpca_power_iters(2)
+        .with_rel_tolerance(None);
+    for (config, last) in [(em, 3), (rpca, 3)] {
+        for spark in [true, false] {
+            let fit = |config: SpcaConfig, c: &SimCluster| {
+                let spca = Spca::new(config);
+                if spark {
+                    spca.fit_spark(c, &y)
+                } else {
+                    spca.fit_mapreduce(c, &y)
+                }
+            };
+            let engine = if spark { "spark" } else { "mapreduce" };
+            let arm = format!("{} on {engine}", config.algorithm.label());
+            let clean = fit(config.clone(), &cluster()).unwrap();
+
+            let c = cluster();
+            let ckpt = config.clone().with_checkpoint_every(1);
+            match fit(ckpt.clone().with_crash_at_iteration(last), &c) {
+                Err(SpcaError::DriverCrashed { iteration }) if iteration == last => {}
+                other => panic!("{arm}: expected a crash at pass {last}, got {other:?}"),
+            }
+            let resumed = fit(ckpt, &c).unwrap_or_else(|e| panic!("{arm}: resume failed: {e}"));
+            assert_eq!(model_bits(&clean), model_bits(&resumed), "{arm}: model diverged");
+            assert!(!resumed.iterations.is_empty(), "{arm}: resume ran no pass");
+            assert_eq!(
+                clean.final_error().to_bits(),
+                resumed.final_error().to_bits(),
+                "{arm}: final error diverged"
+            );
+        }
+    }
+}

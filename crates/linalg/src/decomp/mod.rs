@@ -18,7 +18,6 @@ pub mod helpers;
 pub mod lanczos;
 pub mod lu;
 pub mod qr;
-pub mod randomized;
 pub mod svd;
 pub mod tsqr;
 
@@ -30,6 +29,5 @@ pub use helpers::{orthonormal_columns, subspace_overlap, top_singular_triplets};
 pub use lanczos::lanczos_svd;
 pub use lu::Lu;
 pub use qr::{qr_thin, Qr};
-pub use randomized::randomized_svd;
 pub use svd::{svd_jacobi, Svd};
 pub use tsqr::tsqr;

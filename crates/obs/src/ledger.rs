@@ -9,11 +9,12 @@
 //! commit regressed the system, in one JSON file (`RUN_*.json`).
 //!
 //! Producers don't build ledgers by hand: a **sink** is installed
-//! process-wide (like the trace [`crate::Collector`]), `run_em` appends a
-//! [`RunRecord`] per fit when one is active, and the owning harness drains
-//! it into a [`RunLedger`] at exit. The JSON is written by a deterministic
-//! std-only writer (object keys in fixed order, non-finite floats
-//! stringified) and always passes [`crate::json::validate`].
+//! process-wide (like the trace [`crate::Collector`]), the sPCA pass
+//! driver appends a [`RunRecord`] per fit when one is active, and the
+//! owning harness drains it into a [`RunLedger`] at exit. The JSON is
+//! written by a deterministic std-only writer (object keys in fixed
+//! order, non-finite floats stringified) and always passes
+//! [`crate::json::validate`].
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 

@@ -81,9 +81,15 @@ cargo run --release --offline --bin spca-cli -- \
 cargo run --release --offline --bin spca-cli -- \
     fit -i /tmp/spca_ci_tweets.sm -o /tmp/spca_ci_model.txt -d 4 --iters 3 \
     --seed 11 --partitions 8 --ledger "$TRACE_DIR/RUN_cli.json"
+# The same matrix through the randomized arm on MapReduce, so the shared
+# pass driver's randomized path is pinned by a ledger as well as EM's.
+cargo run --release --offline --bin spca-cli -- \
+    fit -i /tmp/spca_ci_tweets.sm -o /tmp/spca_ci_model_rpca.txt -d 4 --iters 3 \
+    --seed 11 --partitions 8 --algorithm randomized --engine mapreduce \
+    --ledger "$TRACE_DIR/RUN_cli_rpca.json"
 # A fit-running producer that silently drops its run ledger is a CI
 # failure even before perf_gate diffs it against the baseline.
-for ledger in RUN_faults.json RUN_trace_report.json RUN_cli.json; do
+for ledger in RUN_faults.json RUN_trace_report.json RUN_cli.json RUN_cli_rpca.json; do
     if [[ ! -s "$TRACE_DIR/$ledger" ]]; then
         echo "ci: $ledger missing or empty in $TRACE_DIR — a bench forgot its ledger" >&2
         exit 1
@@ -97,7 +103,8 @@ cargo run --release --offline -p spca-bench --bin trace_check -- \
     "$TRACE_DIR/BENCH_wire.json" "$TRACE_DIR/BENCH_rpca.json" \
     "$TRACE_DIR/BENCH_scale.json" \
     "$TRACE_DIR/BENCH_serving.json" "$TRACE_DIR/RUN_faults.json" \
-    "$TRACE_DIR/RUN_trace_report.json" "$TRACE_DIR/RUN_cli.json"
+    "$TRACE_DIR/RUN_trace_report.json" "$TRACE_DIR/RUN_cli.json" \
+    "$TRACE_DIR/RUN_cli_rpca.json"
 # Performance regression gate: diff the fresh ledgers and benchmark JSON
 # against the committed baselines. Bit-exact on byte meters, model hashes
 # and counts; a wide band on virtual-time metrics (CI machines differ —

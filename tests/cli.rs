@@ -207,6 +207,17 @@ fn zero_components_is_a_config_error_not_a_panic() {
 }
 
 #[test]
+fn zero_iterations_is_a_config_error_not_a_panic() {
+    let dir = workdir("zero-iters");
+    let data = generate(&dir, "data.sm", "40");
+    let model = dir.join("model.txt");
+    let fit = ["fit", "-d", "2", "--iters", "0", "-i", &data, "-o", model.to_str().unwrap()];
+    expect_typed_error(&fit, &["invalid fit config", "max_iters"]);
+    assert!(!model.exists(), "a rejected fit must not write a model");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn zero_partitions_is_a_config_error_not_a_panic() {
     let dir = workdir("zero-partitions");
     let data = generate(&dir, "data.sm", "40");
