@@ -12,9 +12,9 @@
 //! * `sim_storm`  — a 1000-virtual-node shared-bandwidth simulation:
 //!   waves of per-downlink flows with deliberate skew and two
 //!   mid-transfer cancellations. Reports the full-stack events/sec
-//!   (each event here re-solves max-min rates over ~1000 touched
-//!   links) plus the contention invariant: peak utilization ≤ 100 %
-//!   on every one of the 3001 links.
+//!   (each virtual instant with a live event re-solves max-min rates
+//!   over ~1000 touched links) plus the contention invariant: peak
+//!   utilization ≤ 100 % on every one of the 3001 links.
 //! * `fit_arms`   — sPCA-on-Spark fits at 8 / 100 / 1000 virtual nodes
 //!   (partitions = 2·nodes + 1, so partition-to-node skew is
 //!   systematic) under `Uncontended` and `Contended` timing. The model

@@ -195,19 +195,25 @@ impl PcaModel {
         let d_in: usize = it.next().ok_or("missing D")?.parse().map_err(|e| format!("D: {e}"))?;
         let d_out: usize = it.next().ok_or("missing d")?.parse().map_err(|e| format!("d: {e}"))?;
 
+        // A parameter on 1-based line `line`; NaN and infinities are
+        // rejected like unparsable text.
+        let value = |line: usize, what: &str, tok: &str| -> std::result::Result<f64, String> {
+            let v: f64 = tok.parse().map_err(|e| format!("line {line}: {what}: {e}"))?;
+            if !v.is_finite() {
+                return Err(format!("line {line}: {what}: non-finite value {tok:?}"));
+            }
+            Ok(v)
+        };
+
         let ss_line = lines.next().ok_or("missing ss")?;
-        let ss: f64 = ss_line
-            .strip_prefix("ss ")
-            .ok_or("expected ss line")?
-            .parse()
-            .map_err(|e| format!("ss: {e}"))?;
+        let ss = value(3, "ss", ss_line.strip_prefix("ss ").ok_or("expected ss line")?)?;
 
         let mean_line = lines.next().ok_or("missing mean")?;
         let mean: Vec<f64> = mean_line
             .strip_prefix("mean")
             .ok_or("expected mean line")?
             .split_whitespace()
-            .map(|t| t.parse().map_err(|e| format!("mean: {e}")))
+            .map(|t| value(4, "mean", t))
             .collect::<std::result::Result<_, _>>()?;
         if mean.len() != d_in {
             return Err(format!("mean has {} entries, expected {d_in}", mean.len()));
@@ -220,7 +226,7 @@ impl PcaModel {
                 .strip_prefix("c")
                 .ok_or("expected c line")?
                 .split_whitespace()
-                .map(|t| t.parse().map_err(|e| format!("C[{r}]: {e}")))
+                .map(|t| value(5 + r, &format!("C[{r}]"), t))
                 .collect::<std::result::Result<_, _>>()?;
             if vals.len() != d_out {
                 return Err(format!("C row {r} has {} entries, expected {d_out}", vals.len()));
@@ -365,6 +371,23 @@ mod tests {
         // Truncated C rows.
         let text = "spca-model v1\ndims 2 1\nss 0.5\nmean 0 0\nc 1\n";
         assert!(PcaModel::from_text(text).is_err());
+    }
+
+    #[test]
+    fn from_text_rejects_non_finite_parameters_naming_the_line() {
+        let text = sample_model().to_text();
+        // Lines 3, 4 and 6 (1-based) hold ss, the mean and C's second row.
+        for line in [3, 4, 6] {
+            for tok in ["NaN", "inf", "-inf"] {
+                let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+                let mut words: Vec<&str> = lines[line - 1].split_whitespace().collect();
+                words[1] = tok;
+                lines[line - 1] = words.join(" ");
+                let e = PcaModel::from_text(&lines.join("\n")).unwrap_err();
+                assert!(e.starts_with(&format!("line {line}:")), "{tok} on line {line}: {e}");
+                assert!(e.contains("non-finite"), "{tok} on line {line}: {e}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Shared-bandwidth network/disk model: concurrent transfers split link
-//! capacity max-min-fairly, with rates re-solved on every transfer start,
-//! finish, and cancellation.
+//! capacity max-min-fairly, with rates re-solved once per virtual instant
+//! at which a transfer starts, finishes, or is cancelled.
 //!
 //! # Topology
 //!
@@ -23,6 +23,17 @@
 //! saturated link freeze at the waterline; repeat. The solver never
 //! allocates more than a link's capacity, so per-link utilization is
 //! ≤ 100 % at every virtual instant by construction.
+//!
+//! # Batched instants
+//!
+//! Every live event that fires at the same nanosecond is applied before
+//! the rates re-solve, once, over the resulting active set. The rate sets
+//! in between would last zero nanoseconds, so skipping them changes no
+//! positive-length interval: a charge group whose thousands of flows all
+//! arrive at `t = 0` costs one solve, not one per arrival. One tie effect
+//! remains: two flows completing at the same instant both finish there,
+//! where a per-event loop would re-solve after the first and re-push the
+//! second a rounding step later.
 //!
 //! # Determinism
 //!
@@ -169,7 +180,9 @@ pub struct FlowOutcome {
     /// Heap events processed (arrivals, completions, cancels, and stale
     /// re-solve tombstones).
     pub events: u64,
-    /// Rate re-solves performed (one per processed live event).
+    /// Rate re-solves performed: one per virtual instant at which at
+    /// least one live event fired (one that changed a flow's state; a
+    /// stale completion or a no-op cancel is not live).
     pub resolves: u64,
     /// Bytes carried per link, indexed like [`Topology::capacities`].
     pub link_bytes: Vec<f64>,
@@ -265,8 +278,8 @@ fn solve_into(
 }
 
 /// Max-min fair rates for concurrent `flows` over `topo` — the solver the
-/// event loop re-runs at every transfer start/finish. Exposed for the
-/// fair-share property tests.
+/// event loop re-runs once per instant with a transfer start/finish.
+/// Exposed for the fair-share property tests.
 pub fn solve_rates(topo: &Topology, flows: &[[u32; 2]]) -> Vec<f64> {
     let caps = topo.capacities();
     let touched: Vec<u32> = (0..caps.len() as u32).collect();
@@ -304,9 +317,10 @@ enum Ev {
 }
 
 /// Runs the shared-bandwidth simulation: every flow arrives at its start
-/// offset, rates re-solve max-min-fairly at each arrival / completion /
-/// cancellation, and the outcome reports completion times plus per-link
-/// contention statistics. `queue_capacity` pre-sizes the event heap.
+/// offset, rates re-solve max-min-fairly once per virtual instant with an
+/// arrival / completion / cancellation, and the outcome reports
+/// completion times plus per-link contention statistics.
+/// `queue_capacity` pre-sizes the event heap.
 pub fn simulate(
     topo: &Topology,
     flows: &[FlowSpec],
@@ -369,6 +383,8 @@ pub fn simulate(
     let mut active: Vec<(usize, [u32; 2])> = Vec::with_capacity(flows.len());
     let mut rates: Vec<f64> = Vec::with_capacity(flows.len());
     let mut now_ns: SimNanos = 0;
+    // A live event was applied since the last re-solve.
+    let mut dirty = false;
 
     while let Some(ev) = queue.pop() {
         // Account the elapsed interval against the previous rate set.
@@ -438,9 +454,14 @@ pub fn simulate(
                 }
             }
         }
-        if !changed {
-            continue; // stale completion — costs only the heap pop
+        dirty |= changed;
+        // Apply every event of this instant before re-solving: the
+        // intermediate rate sets would last zero nanoseconds. A stale
+        // completion costs only the heap pop.
+        if !dirty || queue.peek_time() == Some(now_ns) {
+            continue;
         }
+        dirty = false;
 
         // Re-solve rates for the active set and re-schedule completions
         // for flows whose rate moved.
@@ -637,6 +658,23 @@ mod tests {
         assert!((out.finish_secs[1] - 10.0).abs() < 1e-5, "{:?}", out.finish_secs);
         assert!((out.finish_secs[0] - 12.5).abs() < 1e-5, "{:?}", out.finish_secs);
         assert!(out.resolves >= 4, "start/finish re-solves must happen");
+    }
+
+    #[test]
+    fn simultaneous_events_share_one_resolve_per_instant() {
+        // F equal flows on disjoint downlinks: all F arrivals fire at
+        // t = 0 and all F completions at t = 10 s, so the rates re-solve
+        // exactly twice however large F is.
+        for f in [1usize, 8, 64] {
+            let t = Topology::new(f, 100.0, 50.0);
+            let flows: Vec<FlowSpec> =
+                (0..f).map(|n| FlowSpec::new(1000, [t.downlink(n), t.fabric()])).collect();
+            let out = simulate(&t, &flows, &[], 4 * f);
+            assert_eq!(out.resolves, 2, "{f} flows");
+            assert_eq!(out.events, 2 * f as u64, "{f} flows: arrivals + completions");
+            assert_eq!(out.peak_flows, f);
+            assert!(out.finish_secs.iter().all(|&s| (s - 10.0).abs() < 1e-9), "{f} flows");
+        }
     }
 
     #[test]

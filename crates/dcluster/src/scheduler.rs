@@ -6,6 +6,9 @@
 //! and matches how MapReduce/Spark slot schedulers behave on skewed task
 //! sets closely enough for the paper's shape claims.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 /// Makespan of scheduling `durations` onto `cores` identical cores with
 /// greedy LPT. Returns 0 for an empty task set.
 pub fn makespan(durations: &[f64], cores: usize) -> f64 {
@@ -17,6 +20,8 @@ pub fn makespan(durations: &[f64], cores: usize) -> f64 {
 /// whose completion releases the stage barrier. The critical-path profiler
 /// attaches it to stage segments so "which task dominated this barrier" is
 /// answerable from the trace.
+///
+/// Durations are non-negative; a NaN panics.
 pub fn makespan_with_critical(durations: &[f64], cores: usize) -> (f64, Option<usize>) {
     assert!(cores > 0, "makespan: need at least one core");
     if durations.is_empty() {
@@ -27,22 +32,25 @@ pub fn makespan_with_critical(durations: &[f64], cores: usize) -> (f64, Option<u
     order.sort_by(|&a, &b| {
         durations[b].partial_cmp(&durations[a]).expect("finite durations").then(a.cmp(&b))
     });
-    // Binary-heap of core finish times would be O(n log c); with the task
-    // counts this simulator sees (≤ thousands), a linear min-scan is fine.
     let mut loads = vec![0.0_f64; cores.min(durations.len())];
     // Last task assigned to each core: on a single core tasks run back to
     // back, so the last-assigned one is the one that finishes at the
     // core's final load.
     let mut last_task = vec![usize::MAX; loads.len()];
+    // Min-heap of (load bits, core). Non-negative loads' bit patterns
+    // order like their values, so the pop is the least-loaded core with
+    // the lowest index among ties — the core a linear first-minimum scan
+    // picks — in O(log cores) instead of O(cores).
+    let mut idle: BinaryHeap<Reverse<(u64, usize)>> =
+        (0..loads.len()).map(|c| Reverse((0.0_f64.to_bits(), c))).collect();
     for t in order {
-        let (idx, _) = loads
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
-            .expect("non-empty loads");
+        debug_assert!(durations[t] >= 0.0, "negative task duration {}", durations[t]);
+        let Reverse((_, idx)) = idle.pop().expect("non-empty loads");
         loads[idx] += durations[t];
         last_task[idx] = t;
+        idle.push(Reverse((loads[idx].to_bits(), idx)));
     }
+    // `max_by` keeps the *last* maximum: ties go to the highest core.
     let (max_core, span) = loads
         .iter()
         .enumerate()
@@ -184,6 +192,58 @@ mod tests {
         assert!((span1 - 6.0).abs() < 1e-12);
         assert_eq!(crit1, Some(2));
         assert_eq!(makespan_with_critical(&[], 4), (0.0, None));
+    }
+
+    /// The linear first-minimum scan that [`makespan_with_critical`]'s
+    /// heap must reproduce bit for bit.
+    fn makespan_linear_scan(durations: &[f64], cores: usize) -> (f64, Option<usize>) {
+        if durations.is_empty() {
+            return (0.0, None);
+        }
+        let mut order: Vec<usize> = (0..durations.len()).collect();
+        order.sort_by(|&a, &b| durations[b].partial_cmp(&durations[a]).unwrap().then(a.cmp(&b)));
+        let mut loads = vec![0.0_f64; cores.min(durations.len())];
+        let mut last_task = vec![usize::MAX; loads.len()];
+        for t in order {
+            let (idx, _) =
+                loads.iter().enumerate().min_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap();
+            loads[idx] += durations[t];
+            last_task[idx] = t;
+        }
+        let (max_core, span) =
+            loads.iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap();
+        (*span, Some(last_task[max_core]))
+    }
+
+    #[test]
+    fn heap_lpt_is_bit_identical_to_the_linear_scan() {
+        let mut rng = linalg::Prng::seed_from_u64(0x1b7);
+        for case in 0..2000 {
+            let tasks = rng.index(64);
+            let cores = 1 + rng.index(if case % 2 == 0 { 8 } else { 96 });
+            // Mix continuous durations with a small palette so ties,
+            // repeated values and zeros are common.
+            let palette = [0.0, 0.25, 1.0, 1.0 / 3.0, 2.5];
+            let durations: Vec<f64> = (0..tasks)
+                .map(|_| match rng.index(3) {
+                    0 => palette[rng.index(palette.len())],
+                    _ => rng.uniform() * 10.0,
+                })
+                .collect();
+            let (span, crit) = makespan_with_critical(&durations, cores);
+            let (want_span, want_crit) = makespan_linear_scan(&durations, cores);
+            assert_eq!(
+                (span.to_bits(), crit),
+                (want_span.to_bits(), want_crit),
+                "case {case}: {tasks} tasks on {cores} cores"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite durations")]
+    fn nan_duration_panics() {
+        makespan_with_critical(&[1.0, f64::NAN, 2.0], 2);
     }
 
     #[test]

@@ -17,9 +17,10 @@ pub enum TimingModel {
     /// The discrete-event model: each charge decomposes into per-node
     /// flows over a link topology (fabric + per-node uplink/downlink +
     /// per-node disk) and concurrent flows split link capacity
-    /// max-min-fairly, with rates re-solved on every transfer
-    /// start/finish. Skewed traffic saturates some links while others
-    /// idle — the contention the arithmetic model cannot express.
+    /// max-min-fairly, with rates re-solved once per virtual instant
+    /// with a transfer start/finish. Skewed traffic saturates some links
+    /// while others idle — the contention the arithmetic model cannot
+    /// express.
     Contended,
 }
 

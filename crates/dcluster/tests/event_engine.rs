@@ -19,14 +19,20 @@
 //! 4. **Fault composition** — a crash mid-transfer cancels the flow's
 //!    completion event and re-enqueues the reattempt; results and
 //!    recovery logs stay identical to the uncontended engine's.
+//! 5. **Batched-instant conformance** — `simulate`, which re-solves rates
+//!    once per virtual instant, agrees with a per-event reference loop
+//!    (one re-solve after every live event) to within 2 ns on every
+//!    finish time, on seeded random flow sets with simultaneous arrivals,
+//!    balanced groups, disk-only flows and cancellations.
 
 use std::sync::Arc;
 
-use dcluster::netsim::{simulate, solve_rates, FlowSpec, NO_LINK};
+use dcluster::events::secs_to_ns;
+use dcluster::netsim::{simulate, solve_rates, FlowOutcome, FlowSpec, NO_LINK};
 use dcluster::{
     CancelSpec, ClusterConfig, EventQueue, FaultPlan, FaultSpec, SimCluster, TimingModel, Topology,
 };
-use linalg::WorkerPool;
+use linalg::{Prng, WorkerPool};
 
 fn contended_cfg() -> ClusterConfig {
     ClusterConfig::scaled_cluster().with_timing(TimingModel::Contended)
@@ -256,4 +262,259 @@ fn fault_plans_compose_identically_on_both_engines() {
     let (out_c, log_c) = run(TimingModel::Contended);
     assert_eq!(out_u, out_c);
     assert_eq!(log_u, log_c);
+}
+
+// ------------------------------------------- batched-instant conformance
+
+#[derive(Clone, Copy, PartialEq)]
+enum RefState {
+    Pending,
+    Active,
+    Done,
+}
+
+struct RefFlow {
+    links: [u32; 2],
+    remaining: f64,
+    rate: f64,
+    epoch: u64,
+    state: RefState,
+    origin: usize,
+}
+
+enum RefEv {
+    Arrival(usize),
+    Completion(usize, u64),
+    Cancel(usize),
+}
+
+/// The per-event flow simulation: rates re-solve after every live event,
+/// including events that share a timestamp. Same accounting, epoch and
+/// cancellation rules as `simulate`; built only from the public
+/// `solve_rates` and `EventQueue`.
+fn per_event_reference(topo: &Topology, flows: &[FlowSpec], cancels: &[CancelSpec]) -> FlowOutcome {
+    let nlinks = topo.len();
+    let mut out = FlowOutcome {
+        finish_secs: vec![0.0; flows.len()],
+        link_bytes: vec![0.0; nlinks],
+        link_busy_secs: vec![0.0; nlinks],
+        link_peak_util: vec![0.0; nlinks],
+        ..FlowOutcome::default()
+    };
+    let mut insts: Vec<RefFlow> = flows
+        .iter()
+        .enumerate()
+        .map(|(i, f)| RefFlow {
+            links: f.links,
+            remaining: f.bytes as f64,
+            rate: 0.0,
+            epoch: 0,
+            state: RefState::Pending,
+            origin: i,
+        })
+        .collect();
+    let mut queue = EventQueue::with_capacity(64);
+    for (i, f) in flows.iter().enumerate() {
+        queue.push(secs_to_ns(f.start_secs), RefEv::Arrival(i));
+    }
+    for (c, spec) in cancels.iter().enumerate() {
+        queue.push(secs_to_ns(spec.at_secs), RefEv::Cancel(c));
+    }
+    let mut link_alloc = vec![0.0_f64; nlinks];
+    let mut active: Vec<usize> = Vec::new();
+    let mut now_ns = 0;
+    while let Some(ev) = queue.pop() {
+        let dt = ev.time_ns.saturating_sub(now_ns) as f64 * 1e-9;
+        if dt > 0.0 {
+            for (l, &alloc) in link_alloc.iter().enumerate() {
+                if alloc > 0.0 {
+                    out.link_busy_secs[l] += dt;
+                    out.link_bytes[l] += alloc * dt;
+                }
+            }
+            for &i in &active {
+                let f = &mut insts[i];
+                f.remaining = (f.remaining - f.rate * dt).max(0.0);
+            }
+        }
+        now_ns = ev.time_ns;
+        let changed = match ev.payload {
+            RefEv::Arrival(i) => {
+                let live = insts[i].state == RefState::Pending;
+                if live {
+                    insts[i].state = RefState::Active;
+                }
+                live
+            }
+            RefEv::Completion(i, epoch) => {
+                let f = &mut insts[i];
+                let live = f.state == RefState::Active && f.epoch == epoch;
+                if live {
+                    f.state = RefState::Done;
+                    f.remaining = 0.0;
+                    let t = now_ns as f64 * 1e-9;
+                    out.finish_secs[f.origin] = t;
+                    out.makespan_secs = out.makespan_secs.max(t);
+                }
+                live
+            }
+            RefEv::Cancel(c) => {
+                let spec = cancels[c];
+                let f = &mut insts[spec.flow];
+                let live = f.state != RefState::Done;
+                if live {
+                    f.state = RefState::Done;
+                    f.epoch += 1;
+                    let (links, origin) = (f.links, f.origin);
+                    insts.push(RefFlow {
+                        links,
+                        remaining: flows[spec.flow].bytes as f64,
+                        rate: 0.0,
+                        epoch: 0,
+                        state: RefState::Pending,
+                        origin,
+                    });
+                    let at = now_ns + secs_to_ns(spec.requeue_delay_secs);
+                    queue.push(at, RefEv::Arrival(insts.len() - 1));
+                }
+                live
+            }
+        };
+        if !changed {
+            continue;
+        }
+        out.resolves += 1;
+        active = (0..insts.len()).filter(|&i| insts[i].state == RefState::Active).collect();
+        out.peak_flows = out.peak_flows.max(active.len());
+        let links: Vec<[u32; 2]> = active.iter().map(|&i| insts[i].links).collect();
+        let rates = solve_rates(topo, &links);
+        link_alloc.iter_mut().for_each(|a| *a = 0.0);
+        for (k, pair) in links.iter().enumerate() {
+            for &l in pair.iter().filter(|&&l| l != NO_LINK) {
+                link_alloc[l as usize] += rates[k];
+            }
+        }
+        for (l, &alloc) in link_alloc.iter().enumerate() {
+            let util = alloc / topo.capacities()[l];
+            if util > out.link_peak_util[l] {
+                out.link_peak_util[l] = util;
+            }
+        }
+        for (k, &i) in active.iter().enumerate() {
+            let f = &mut insts[i];
+            if rates[k].to_bits() != f.rate.to_bits() || f.epoch == 0 {
+                f.rate = rates[k];
+                f.epoch += 1;
+                let dur = if f.rate > 0.0 { f.remaining / f.rate } else { 0.0 };
+                queue.push(now_ns + secs_to_ns(dur), RefEv::Completion(i, f.epoch));
+            }
+        }
+    }
+    out.events = queue.processed();
+    out
+}
+
+/// A seeded random flow set: 1–40 nodes, groups that arrive together
+/// (at `t = 0` or later) or staggered, equal-byte balanced groups,
+/// disk-only flows, and cancellations (some with a zero requeue delay).
+fn random_flow_set(rng: &mut Prng) -> (Topology, Vec<FlowSpec>, Vec<CancelSpec>) {
+    let nodes = 1 + rng.index(40);
+    let net = 1_000.0 * (1 + rng.index(100)) as f64;
+    let disk = 500.0 * (1 + rng.index(100)) as f64;
+    let topo = Topology::new(nodes, net, disk);
+    let mut flows = Vec::new();
+    for _ in 0..1 + rng.index(4) {
+        let start = if rng.index(2) == 0 { 0.0 } else { rng.uniform() * 5.0 };
+        match rng.index(4) {
+            0 => {
+                // Balanced: equal bytes into every node.
+                let bytes = rng.index(1_000_000) as u64;
+                for n in 0..nodes {
+                    flows.push(FlowSpec::new(bytes, [topo.downlink(n), topo.fabric()]).at(start));
+                }
+            }
+            1 => {
+                // Skewed network traffic, arriving together.
+                for _ in 0..1 + rng.index(2 * nodes) {
+                    let n = rng.index(nodes);
+                    let link = if rng.index(2) == 0 { topo.uplink(n) } else { topo.downlink(n) };
+                    let bytes = rng.index(500_000) as u64;
+                    flows.push(FlowSpec::new(bytes, [link, topo.fabric()]).at(start));
+                }
+            }
+            2 => {
+                // Disk-only flows.
+                for _ in 0..1 + rng.index(nodes) {
+                    let bytes = rng.index(300_000) as u64;
+                    flows.push(
+                        FlowSpec::new(bytes, [topo.disk(rng.index(nodes)), NO_LINK]).at(start),
+                    );
+                }
+            }
+            _ => {
+                // Staggered arrivals, mixed links.
+                for _ in 0..1 + rng.index(nodes) {
+                    let n = rng.index(nodes);
+                    let links = match rng.index(3) {
+                        0 => [topo.uplink(n), topo.fabric()],
+                        1 => [topo.downlink(n), topo.fabric()],
+                        _ => [topo.disk(n), NO_LINK],
+                    };
+                    let bytes = rng.index(400_000) as u64;
+                    flows.push(FlowSpec::new(bytes, links).at(start + rng.uniform() * 20.0));
+                }
+            }
+        }
+    }
+    let mut cancels = Vec::new();
+    if rng.index(2) == 0 {
+        for _ in 0..1 + rng.index(3) {
+            let at_secs = if rng.index(4) == 0 { 0.0 } else { rng.uniform() * 30.0 };
+            let requeue_delay_secs = if rng.index(3) == 0 { 0.0 } else { rng.uniform() * 2.0 };
+            cancels.push(CancelSpec { flow: rng.index(flows.len()), at_secs, requeue_delay_secs });
+        }
+    }
+    (topo, flows, cancels)
+}
+
+fn outcome_bits(o: &FlowOutcome) -> Vec<u64> {
+    let mut bits = vec![o.makespan_secs.to_bits(), o.events, o.resolves, o.peak_flows as u64];
+    for v in [&o.finish_secs, &o.link_bytes, &o.link_busy_secs, &o.link_peak_util] {
+        bits.extend(v.iter().map(|x| x.to_bits()));
+    }
+    bits
+}
+
+#[test]
+fn batched_instants_match_the_per_event_reference() {
+    let mut rng = Prng::seed_from_u64(0xba7c4);
+    let within_2ns = |got: f64, want: f64| secs_to_ns(got).abs_diff(secs_to_ns(want)) <= 2;
+    for case in 0..400 {
+        let (topo, flows, cancels) = random_flow_set(&mut rng);
+        let got = simulate(&topo, &flows, &cancels, 64);
+        let want = per_event_reference(&topo, &flows, &cancels);
+        let tag = format!(
+            "case {case}: {} nodes, {} flows, {} cancels",
+            topo.nodes(),
+            flows.len(),
+            cancels.len()
+        );
+        assert!(
+            within_2ns(got.makespan_secs, want.makespan_secs),
+            "{tag}: makespan {} vs {}",
+            got.makespan_secs,
+            want.makespan_secs
+        );
+        for (i, (&g, &w)) in got.finish_secs.iter().zip(&want.finish_secs).enumerate() {
+            assert!(within_2ns(g, w), "{tag}: flow {i} finished at {g} vs {w}");
+        }
+        for (l, (&g, &w)) in got.link_bytes.iter().zip(&want.link_bytes).enumerate() {
+            assert!((g - w).abs() <= 1e-6 * w.abs().max(1.0), "{tag}: link {l} carried {g} vs {w}");
+        }
+        for (l, (&g, &w)) in got.link_peak_util.iter().zip(&want.link_peak_util).enumerate() {
+            assert!(g <= w, "{tag}: link {l} peaked at {g} above the reference's {w}");
+        }
+        let again = simulate(&topo, &flows, &cancels, 64);
+        assert_eq!(outcome_bits(&got), outcome_bits(&again), "{tag}: rerun differs");
+    }
 }

@@ -74,6 +74,17 @@ fn err(line: usize, message: impl Into<String>) -> ReadError {
     ReadError::Format(FormatError { line, message: message.into() })
 }
 
+/// Parses one matrix value. `NaN`, `inf` and literals that overflow to
+/// infinity are format errors: a single non-finite entry would turn every
+/// fitted parameter into NaN.
+fn parse_value(line: usize, tok: &str) -> Result<f64, ReadError> {
+    let v: f64 = tok.parse().map_err(|e| err(line, format!("bad value: {e}")))?;
+    if !v.is_finite() {
+        return Err(err(line, format!("non-finite value {tok:?}")));
+    }
+    Ok(v)
+}
+
 /// Writes a sparse matrix in coordinate format.
 pub fn write_sparse(w: &mut impl Write, m: &SparseMat) -> io::Result<()> {
     writeln!(w, "spca-sparse {} {} {}", m.rows(), m.cols(), m.nnz())?;
@@ -113,11 +124,7 @@ pub fn read_sparse(r: &mut impl BufRead) -> Result<SparseMat, ReadError> {
         let mut it = line.split_whitespace();
         let r = parse(lineno, it.next(), "row index")?;
         let c = parse(lineno, it.next(), "column index")?;
-        let v: f64 = it
-            .next()
-            .ok_or_else(|| err(lineno, "missing value"))?
-            .parse()
-            .map_err(|e| err(lineno, format!("bad value: {e}")))?;
+        let v = parse_value(lineno, it.next().ok_or_else(|| err(lineno, "missing value"))?)?;
         if r >= rows || c >= cols {
             return Err(err(lineno, format!("entry ({r},{c}) out of {rows}x{cols}")));
         }
@@ -170,10 +177,8 @@ pub fn read_dense(r: &mut impl BufRead) -> Result<Mat, ReadError> {
         if filled >= rows {
             return Err(err(lineno, "more rows than the header promised"));
         }
-        let values: Result<Vec<f64>, ReadError> = line
-            .split_whitespace()
-            .map(|t| t.parse::<f64>().map_err(|e| err(lineno, format!("bad value: {e}"))))
-            .collect();
+        let values: Result<Vec<f64>, ReadError> =
+            line.split_whitespace().map(|t| parse_value(lineno, t)).collect();
         let values = values?;
         if values.len() != cols {
             return Err(err(lineno, format!("expected {cols} values, found {}", values.len())));
@@ -255,6 +260,28 @@ mod tests {
                 e.to_string().contains(needle),
                 "input {text:?}: error {e} should mention {needle:?}"
             );
+        }
+    }
+
+    #[test]
+    fn non_finite_values_are_format_errors_naming_the_line() {
+        for tok in ["NaN", "nan", "inf", "-inf", "infinity", "1e400"] {
+            let sparse = format!("spca-sparse 2 2 2\n0 0 1.0\n1 1 {tok}\n");
+            match read_sparse(&mut sparse.as_bytes()) {
+                Err(ReadError::Format(e)) => {
+                    assert_eq!(e.line, 3, "{tok}: {e}");
+                    assert!(e.message.contains("non-finite"), "{tok}: {e}");
+                }
+                other => panic!("sparse {tok}: expected a format error, got {other:?}"),
+            }
+            let dense = format!("spca-dense 2 2\n1 2\n3 {tok}\n");
+            match read_dense(&mut dense.as_bytes()) {
+                Err(ReadError::Format(e)) => {
+                    assert_eq!(e.line, 3, "{tok}: {e}");
+                    assert!(e.message.contains("non-finite"), "{tok}: {e}");
+                }
+                other => panic!("dense {tok}: expected a format error, got {other:?}"),
+            }
         }
     }
 

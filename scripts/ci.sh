@@ -10,6 +10,8 @@
 # validated via --plain). The fit-running producers (bench_faults,
 # trace_report, spca-cli) additionally write RUN_*.json run ledgers, which
 # perf_gate diffs against the committed baselines in results/baselines/.
+# perfbench's tests and one short run per workload gate its in-run
+# correctness checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -105,6 +107,15 @@ cargo run --release --offline -p spca-bench --bin trace_check -- \
     "$TRACE_DIR/BENCH_serving.json" "$TRACE_DIR/RUN_faults.json" \
     "$TRACE_DIR/RUN_trace_report.json" "$TRACE_DIR/RUN_cli.json" \
     "$TRACE_DIR/RUN_cli_rpca.json"
+# perfbench: its own unit tests, then one short untraced run per workload.
+# Each run checks its outputs in-run (1-worker vs N-worker bits, and on
+# contended-1000 contended vs uncontended model bits) and exits non-zero
+# on a failed check.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+for workload in tweets-em-spark tweets-rpca-mr contended-1000 serve-fairshare; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
+done
 # Performance regression gate: diff the fresh ledgers and benchmark JSON
 # against the committed baselines. Bit-exact on byte meters, model hashes
 # and counts; a wide band on virtual-time metrics (CI machines differ —

@@ -257,3 +257,18 @@ fn model_width_mismatch_is_a_typed_error_not_a_panic() {
     expect_typed_error(&["likelihood", "-i", &narrow, "-m", &model], &["30 columns", "expects 40"]);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn non_finite_input_is_a_read_error_not_a_nan_model() {
+    let dir = workdir("non-finite");
+    let model = dir.join("model.txt");
+    for tok in ["NaN", "inf"] {
+        let data = dir.join(format!("{tok}.sm")).to_str().unwrap().to_string();
+        let text = format!("spca-sparse 3 2 4\n0 0 1.0\n1 1 2.0\n2 0 {tok}\n2 1 0.5\n");
+        std::fs::write(&data, text).unwrap();
+        let fit = ["fit", "-d", "1", "--iters", "2", "-i", &data, "-o", model.to_str().unwrap()];
+        expect_typed_error(&fit, &[&data, "line 4", "non-finite"]);
+        assert!(!model.exists(), "a rejected input must not write a model");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
