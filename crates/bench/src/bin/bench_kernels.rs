@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use linalg::kernels::{self, naive};
-use linalg::{kernels_f32, MatF32, Prng, SparseMat, WorkerPool};
+use linalg::{Dense, Prng, SparseMat, WorkerPool};
 
 /// Times `f` best-of-`reps` (minimum wall time, the usual noise filter for
 /// single-machine microbenchmarks).
@@ -194,17 +194,16 @@ fn main() {
     {
         let a = rng.normal_mat(n_rows, d_cols);
         let b = rng.normal_mat(n_rows, d_small);
-        let (a32, b32) = (MatF32::from_f64(&a), MatF32::from_f64(&b));
+        let (a32, b32) = (Dense::<f32>::from_f64(&a), Dense::<f32>::from_f64(&b));
         let (t64, reference) = best_of(reps, || kernels::matmul_tn_with_pool(global, &a, &b));
-        let (t32, half) =
-            best_of(reps, || kernels_f32::matmul_tn_f32_with_pool(global, &a32, &b32));
+        let (t32, half) = best_of(reps, || kernels::matmul_tn_with_pool(global, &a32, &b32));
         let scale = reference.data().iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1.0);
         f32_results.push(F32Result {
             kernel: "matmul_tn_f32",
             shape: format!("({n_rows}x{d_cols})^T * ({n_rows}x{d_small})"),
             f64_secs: t64,
             f32_secs: t32,
-            max_rel_diff: half.to_f64().max_abs_diff(&reference) / scale,
+            max_rel_diff: half.widen().max_abs_diff(&reference) / scale,
         });
     }
 
@@ -212,21 +211,17 @@ fn main() {
     {
         let y = random_sparse(&mut rng, n_rows, d_cols, 0.01);
         let c = rng.normal_mat(d_cols, d_small);
-        let c32 = MatF32::from_f64(&c);
+        let c32 = Dense::<f32>::from_f64(&c);
         let (t64, reference) =
             best_of(reps, || kernels::sparse_mul_dense_with_pool(global, &y, &c));
-        let (t32, half) = best_of(reps, || {
-            let mut out = MatF32::zeros(n_rows, d_small);
-            kernels_f32::sparse_mul_dense_f32_into_with_pool(global, &y, &c32, out.data_mut());
-            out
-        });
+        let (t32, half) = best_of(reps, || kernels::sparse_mul_dense_with_pool(global, &y, &c32));
         let scale = reference.data().iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1.0);
         f32_results.push(F32Result {
             kernel: "sparse_mul_dense_f32",
             shape: format!("sparse({n_rows}x{d_cols}, 1%) * ({d_cols}x{d_small})"),
             f64_secs: t64,
             f32_secs: t32,
-            max_rel_diff: half.to_f64().max_abs_diff(&reference) / scale,
+            max_rel_diff: half.widen().max_abs_diff(&reference) / scale,
         });
     }
 

@@ -11,8 +11,8 @@
 //! * input-shape checks and config validation;
 //! * the run and per-pass trace windows, host spans and counters;
 //! * the driver-memory reservation (four D×width matrices plus the mean);
-//! * checkpoint resume, the per-pass checkpoint write, the injected crash
-//!   and the stop rule, in that order;
+//! * the divergence check, checkpoint resume, the per-pass checkpoint
+//!   write, the injected crash and the stop rule, in that order;
 //! * the per-pass category attribution, the run-ledger record and the
 //!   [`SpcaRun`] it returns.
 //!
@@ -165,6 +165,10 @@ pub(crate) fn run_passes<A: PassAlgorithm>(
         }
     }
 
+    // An error sample with no non-zero value scores +inf by definition
+    // (`accuracy::reconstruction_error`), so that infinity is no
+    // divergence.
+    let zero_sample = error_sample.norm1() == 0.0;
     let mut iterations: Vec<IterationStat> = Vec::new();
     let (model, final_error) = loop {
         let pass_cat_start = cluster.category_time_us();
@@ -221,6 +225,24 @@ pub(crate) fn run_passes<A: PassAlgorithm>(
                 virtual_secs: cluster.metrics().virtual_time_secs - start_time,
                 cat_us,
             });
+        }
+
+        // Divergence: overflowed arithmetic leaves a non-finite value in
+        // the model or its sampled error. Stop before the pass reaches a
+        // checkpoint or the caller's model. The objective counts only
+        // when NaN: zero total variance (an all-zero or constant-row
+        // input) scores -inf by its definition.
+        let first_bad = |v: &[f64]| v.iter().copied().find(|x| !x.is_finite());
+        let error_ok = error.is_finite() || (error == f64::INFINITY && zero_sample);
+        let checks = [
+            ("noise variance", first_bad(&[ss])),
+            ("component", first_bad(step.model.components().data())),
+            ("mean", first_bad(step.model.mean())),
+            ("objective", Some(step.objective).filter(|o| o.is_nan())),
+            ("sampled error", Some(error).filter(|_| !error_ok)),
+        ];
+        if let Some((quantity, value)) = checks.into_iter().find_map(|(q, v)| Some((q, v?))) {
+            return Err(SpcaError::Diverged { pass, quantity, value });
         }
 
         // Pass-boundary checkpoint: the complete driver state after this

@@ -49,6 +49,18 @@ pub enum SpcaError {
         /// Human-readable description of the offending knob combination.
         what: String,
     },
+    /// A pass produced a non-finite model (noise variance, components or
+    /// mean), a NaN objective or a non-finite sampled error: the
+    /// arithmetic overflowed (input values too large for `f64`). Returned
+    /// before that pass's checkpoint is written.
+    Diverged {
+        /// The 1-based pass (EM iteration or randomized pass).
+        pass: usize,
+        /// Which quantity went non-finite.
+        quantity: &'static str,
+        /// Its value.
+        value: f64,
+    },
     /// Input rows do not match the model's width `D` (projecting data
     /// with a model fitted on a different column space).
     DimensionMismatch {
@@ -81,6 +93,10 @@ impl fmt::Display for SpcaError {
             SpcaError::InvalidConfig { what } => {
                 write!(f, "invalid fit config: {what}")
             }
+            SpcaError::Diverged { pass, quantity, value } => write!(
+                f,
+                "fit diverged at pass {pass}: {quantity} is {value} (input values too large?)"
+            ),
             SpcaError::DimensionMismatch { expected, found } => {
                 write!(f, "data has {found} columns but the model expects {expected}")
             }
@@ -132,6 +148,9 @@ mod tests {
         let e = SpcaError::InvalidConfig { what: "rpca_oversample = 0".into() };
         assert!(e.to_string().contains("invalid fit config"));
         assert!(e.to_string().contains("rpca_oversample"));
+
+        let e = SpcaError::Diverged { pass: 2, quantity: "sampled error", value: f64::NAN };
+        assert_eq!(e.to_string(), "fit diverged at pass 2: sampled error is NaN (input values too large?)");
 
         let e = SpcaError::DimensionMismatch { expected: 120, found: 7 };
         assert!(e.to_string().contains("7 columns") && e.to_string().contains("expects 120"));

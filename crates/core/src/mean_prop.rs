@@ -20,7 +20,7 @@
 //!
 //! * [`YtxPartial::add_block`] — the batched path. A whole partition goes
 //!   through the blocked kernels: `X_blk = Y_blk·CM − 1⊗Xm` via the
-//!   threaded `sparse_mul_dense` into a reusable scratch buffer,
+//!   threaded `sparse_mul_dense` into a recycled scratch buffer,
 //!   `XtX += syrk_tn(X_blk)`, `YtX += spmm_tn(Y_blk, X_blk)` scattered
 //!   straight into a packed slab (sorted column table, hash-free inner
 //!   loop), `Σx` via per-row column sums.
@@ -38,7 +38,7 @@
 use linalg::bytes::ByteSized;
 use linalg::sparse::SparseRow;
 use linalg::wire::{self, Wire, WireError, WireReader};
-use linalg::{bf16_round, Mat, MatF32, Precision, SparseMat, WorkerPool};
+use linalg::{bf16_round, Dense, Mat, Precision, Scalar, SparseMat, WorkerPool};
 
 /// Latent row `x = y·CM − Xm` for one sparse row (O(z·d)).
 pub fn latent_row(row: SparseRow<'_>, cm: &Mat, xm: &[f64]) -> Vec<f64> {
@@ -67,7 +67,7 @@ pub fn latent_row_dense(row: SparseRow<'_>, mean: &[f64], cm: &Mat) -> Vec<f64> 
 /// indices in ascending order and `slab` one d-vector per touched column,
 /// back to back — no hashing anywhere, O(z·d) shuffle size preserved, and
 /// merging two partials is a linear sorted merge.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct YtxPartial {
     /// `Σᵢ xᵢ ⊗ xᵢ` (d × d).
     pub xtx: Mat,
@@ -79,19 +79,6 @@ pub struct YtxPartial {
     pub sum_x: Vec<f64>,
     /// Rows processed (for sanity checks).
     pub rows_seen: u64,
-    /// Reusable `X_blk` buffer for [`Self::add_block`] — driver-local
-    /// scratch, never shipped, excluded from equality and byte size.
-    scratch: Vec<f64>,
-}
-
-impl PartialEq for YtxPartial {
-    fn eq(&self, other: &Self) -> bool {
-        self.xtx == other.xtx
-            && self.cols == other.cols
-            && self.slab == other.slab
-            && self.sum_x == other.sum_x
-            && self.rows_seen == other.rows_seen
-    }
 }
 
 impl YtxPartial {
@@ -103,7 +90,6 @@ impl YtxPartial {
             slab: Vec::new(),
             sum_x: vec![0.0; d],
             rows_seen: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -187,8 +173,8 @@ impl YtxPartial {
     }
 
     /// Folds a whole partition block through the batched kernels:
-    /// `X_blk = Y_blk·CM − 1⊗Xm` (threaded sparse GEMM into the reusable
-    /// scratch — zero per-row allocation), `XtX += syrk_tn(X_blk)`,
+    /// `X_blk = Y_blk·CM − 1⊗Xm` (threaded sparse GEMM into a recycled
+    /// buffer — zero per-row allocation), `XtX += syrk_tn(X_blk)`,
     /// `YtX += spmm_tn(Y_blk, X_blk)` scattered into a packed slab keyed by
     /// a column-offset table built once per block, and `Σx` via per-row
     /// column sums.
@@ -200,12 +186,17 @@ impl YtxPartial {
     /// accumulator reassociates at block boundaries — exactly like
     /// [`Self::merge`] at partition boundaries, which is where the engines
     /// put them.
-    pub fn add_block_with_pool(
+    ///
+    /// The pipeline multiplies and accumulates in `T` (`f64`, or `f32`
+    /// for the [`Precision::F32`] arm). Each per-block result — the Gram,
+    /// the packed slab and the block's `Σx` — is accumulated from zero in
+    /// `T` and then added into the `f64` fields.
+    pub fn add_block_with_pool<T: Scalar>(
         &mut self,
         pool: &WorkerPool,
         block: &SparseMat,
-        cm: &Mat,
-        xm: &[f64],
+        cm: &Dense<T>,
+        xm: &[T],
     ) {
         let d = self.d();
         assert_eq!(cm.cols(), d, "add_block: CM has {} columns, expected {d}", cm.cols());
@@ -235,34 +226,30 @@ impl YtxPartial {
 
         // X_blk = Y·CM − 1⊗Xm: multiply first, then subtract — the exact
         // operation order of `latent_row`.
-        let mut buf = match self.scratch.capacity() {
-            0 => linalg::scratch::take_cleared(n * d),
-            _ => std::mem::take(&mut self.scratch),
-        };
-        buf.clear();
-        buf.resize(n * d, 0.0);
-        linalg::kernels::sparse_mul_dense_into_with_pool(pool, block, cm, &mut buf);
-        let mut x_blk = Mat::from_vec(n, d, buf);
+        let mut x_blk = Dense::from_vec(n, d, T::take_zeroed(n * d));
+        linalg::kernels::sparse_mul_dense_into_with_pool(pool, block, cm, x_blk.data_mut());
         for r in 0..n {
-            linalg::vector::axpy(-1.0, xm, x_blk.row_mut(r));
+            linalg::vector::axpy(-T::ONE, xm, x_blk.row_mut(r));
         }
 
         // XtX += X'X (upper-triangle kernel, mirrored once).
         let xtx_blk = linalg::kernels::syrk_tn_with_pool(pool, &x_blk);
-        self.xtx.add_assign(&xtx_blk);
+        self.xtx.add_assign(&xtx_blk.widen());
 
         // YtX: scatter Y'X straight into a fresh packed slab, then merge.
-        let mut slab = linalg::scratch::take_zeroed(cols.len() * d);
+        let mut slab = T::take_zeroed(cols.len() * d);
         linalg::kernels::spmm_tn_packed_with_pool(pool, block, &x_blk, &map, &mut slab);
-        self.merge_packed(cols, slab);
+        self.merge_packed(cols, T::widen(slab));
 
-        // Σx: per-row adds in ascending order, straight into the
-        // accumulator (the same association as the row-at-a-time fold).
+        // Σx: per-row adds in ascending order (the association of the
+        // row-at-a-time fold).
+        let mut sum_x = vec![T::ZERO; d];
         for r in 0..n {
-            linalg::vector::axpy(1.0, x_blk.row(r), &mut self.sum_x);
+            linalg::vector::axpy(T::ONE, x_blk.row(r), &mut sum_x);
         }
+        linalg::vector::axpy(1.0, &T::widen(sum_x), &mut self.sum_x);
         self.rows_seen += n as u64;
-        self.scratch = x_blk.into_vec();
+        T::recycle(x_blk.into_vec());
 
         if let Some(c) = obs::collector() {
             let reg = c.registry();
@@ -284,17 +271,15 @@ impl YtxPartial {
 
     /// [`Self::add_block_with_pool`] with a selectable arithmetic arm.
     ///
-    /// * [`Precision::F64`] dispatches to the unchanged double-precision
-    ///   path — byte-for-byte the reference result.
-    /// * [`Precision::F32`] narrows `CM` and `Xm` once per call, runs the
-    ///   whole block pipeline (`Y·CM`, Gram, packed scatter, `Σx`) through
-    ///   the `f32` kernels, and widens the per-block results into the
-    ///   `f64` accumulator fields. Cross-block and cross-partition merges
-    ///   stay in `f64`, so error does not compound across the reduction
-    ///   tree.
+    /// * [`Precision::F64`] is the reference path.
+    /// * [`Precision::F32`] narrows `CM` and `Xm` once per call and runs
+    ///   the same generic block pipeline (`Y·CM`, Gram, packed scatter,
+    ///   `Σx`) in `f32`; the per-block results widen into the `f64`
+    ///   accumulator fields. Cross-block and cross-partition merges stay
+    ///   in `f64`, so error does not compound across the reduction tree.
     /// * [`Precision::Bf16AccF64`] rounds the block's values, `CM` and
-    ///   `Xm` to bfloat16 and then runs the unchanged `f64` kernels —
-    ///   representation error only, full-width accumulation.
+    ///   `Xm` to bfloat16 and then runs the `f64` path — representation
+    ///   error only, full-width accumulation.
     ///
     /// Every arm inherits the kernels' determinism contract, so each is
     /// bitwise reproducible across worker counts; only the *arms* differ
@@ -309,90 +294,14 @@ impl YtxPartial {
     ) {
         match precision {
             Precision::F64 => self.add_block_with_pool(pool, block, cm, xm),
-            Precision::F32 => self.add_block_f32(pool, block, cm, xm),
+            Precision::F32 => {
+                let (cm, xm) = narrow::<f32>(cm, xm);
+                self.add_block_with_pool(pool, block, &cm, &xm)
+            }
             Precision::Bf16AccF64 => {
                 let (block, cm, xm) = bf16_inputs(block, cm, xm);
                 self.add_block_with_pool(pool, &block, &cm, &xm);
             }
-        }
-    }
-
-    /// The `f32` arm of [`Self::add_block_prec_with_pool`]: same block
-    /// pipeline and same ascending-row accumulation order as the `f64`
-    /// path, in single precision end to end, widened once per block.
-    fn add_block_f32(&mut self, pool: &WorkerPool, block: &SparseMat, cm: &Mat, xm: &[f64]) {
-        let d = self.d();
-        assert_eq!(cm.cols(), d, "add_block: CM has {} columns, expected {d}", cm.cols());
-        assert_eq!(block.cols(), cm.rows(), "add_block: block/CM inner dimensions differ");
-        let n = block.rows();
-        if n == 0 {
-            return;
-        }
-        let z = block.nnz();
-        let flops = (4 * z * d + n * d * (d + 3)) as u64;
-        let _span = obs::span_lazy("em", || {
-            format!("ytx add_block f32 {n}x{}x{d}", block.cols())
-        })
-        .with_flops(flops);
-
-        let cm32 = MatF32::from_f64(cm);
-        let xm32: Vec<f32> = xm.iter().map(|&v| v as f32).collect();
-
-        // Column support + slab-offset table, identical to the f64 path.
-        let mut map = vec![u32::MAX; block.cols()];
-        for &c in block.col_indices() {
-            map[c as usize] = 0;
-        }
-        let mut cols: Vec<u32> = Vec::new();
-        for (c, slot) in map.iter_mut().enumerate() {
-            if *slot == 0 {
-                *slot = cols.len() as u32;
-                cols.push(c as u32);
-            }
-        }
-
-        // X_blk = Y·CM − 1⊗Xm in f32.
-        let mut x32 = MatF32::zeros(n, d);
-        linalg::kernels_f32::sparse_mul_dense_f32_into_with_pool(
-            pool,
-            block,
-            &cm32,
-            x32.data_mut(),
-        );
-        for row in x32.data_mut().chunks_exact_mut(d) {
-            for (o, &m) in row.iter_mut().zip(&xm32) {
-                *o -= m;
-            }
-        }
-
-        // XtX += X'X, widened element-wise after the f32 Gram.
-        let xtx32 = linalg::kernels_f32::syrk_tn_f32_with_pool(pool, &x32);
-        for (dst, &src) in self.xtx.data_mut().iter_mut().zip(xtx32.data()) {
-            *dst += f64::from(src);
-        }
-
-        // YtX: f32 packed scatter, widened into a fresh f64 slab.
-        let mut slab32 = vec![0.0f32; cols.len() * d];
-        linalg::kernels_f32::spmm_tn_packed_f32_with_pool(pool, block, &x32, &map, &mut slab32);
-        let slab: Vec<f64> = slab32.iter().map(|&v| f64::from(v)).collect();
-        self.merge_packed(cols, slab);
-
-        // Σx: f32 row sums in ascending order, widened once.
-        let mut sum32 = vec![0.0f32; d];
-        for row in x32.data().chunks_exact(d) {
-            for (s, &v) in sum32.iter_mut().zip(row) {
-                *s += v;
-            }
-        }
-        for (dst, &src) in self.sum_x.iter_mut().zip(&sum32) {
-            *dst += f64::from(src);
-        }
-        self.rows_seen += n as u64;
-
-        if let Some(c) = obs::collector() {
-            let reg = c.registry();
-            reg.counter("em.ytx.batch_rows").add(n as u64);
-            reg.counter("em.ytx.flops").add(flops);
         }
     }
 
@@ -402,7 +311,6 @@ impl YtxPartial {
         self.merge_packed(std::mem::take(&mut other.cols), std::mem::take(&mut other.slab));
         linalg::vector::axpy(1.0, &other.sum_x, &mut self.sum_x);
         self.rows_seen += other.rows_seen;
-        linalg::scratch::recycle(std::mem::take(&mut other.scratch));
     }
 
     /// Linear sorted merge of a packed (cols, slab) pair into this
@@ -518,7 +426,7 @@ impl Wire for YtxPartial {
             return Err(WireError::Malformed("YtxPartial sum_x length mismatch"));
         }
         let rows_seen = r.uvarint()?;
-        Ok(YtxPartial { xtx, cols, slab, sum_x, rows_seen, scratch: Vec::new() })
+        Ok(YtxPartial { xtx, cols, slab, sum_x, rows_seen })
     }
 
     // v3 fast path: the touched-column set is strictly ascending, so it
@@ -558,7 +466,7 @@ impl Wire for YtxPartial {
             return Err(WireError::Malformed("YtxPartial sum_x length mismatch"));
         }
         let rows_seen = r.uvarint()?;
-        Ok(YtxPartial { xtx, cols, slab, sum_x, rows_seen, scratch: Vec::new() })
+        Ok(YtxPartial { xtx, cols, slab, sum_x, rows_seen })
     }
 }
 
@@ -599,13 +507,15 @@ pub fn ss3_block(block: &SparseMat, cm: &Mat, xm: &[f64], c_new: &Mat) -> f64 {
 /// [`ss3_block`] on an explicit pool: two blocked sparse GEMMs
 /// (`X = Y·CM − 1⊗Xm` and `CY = Y·C_new`) and one dot product per row,
 /// summed in ascending row order — bit-identical to summing
-/// [`ss3_row`] over the block's rows on any pool size.
-pub fn ss3_block_with_pool(
+/// [`ss3_row`] over the block's rows on any pool size. The arithmetic
+/// runs in `T` (`f64`, or `f32` for the [`Precision::F32`] arm) and the
+/// block's part widens once.
+pub fn ss3_block_with_pool<T: Scalar>(
     pool: &WorkerPool,
     block: &SparseMat,
-    cm: &Mat,
-    xm: &[f64],
-    c_new: &Mat,
+    cm: &Dense<T>,
+    xm: &[T],
+    c_new: &Dense<T>,
 ) -> f64 {
     let n = block.rows();
     if n == 0 {
@@ -613,14 +523,14 @@ pub fn ss3_block_with_pool(
     }
     let mut x = linalg::kernels::sparse_mul_dense_with_pool(pool, block, cm);
     for r in 0..n {
-        linalg::vector::axpy(-1.0, xm, x.row_mut(r));
+        linalg::vector::axpy(-T::ONE, xm, x.row_mut(r));
     }
     let cy = linalg::kernels::sparse_mul_dense_with_pool(pool, block, c_new);
-    let mut part = 0.0;
+    let mut part = T::ZERO;
     for r in 0..n {
-        part += linalg::vector::dot(x.row(r), cy.row(r));
+        part += T::ss3_row_dot(x.row(r), cy.row(r));
     }
-    part
+    part.to_f64()
 }
 
 /// [`ss3_block_prec_with_pool`] on the process-global pool.
@@ -647,44 +557,8 @@ pub fn ss3_block_prec_with_pool(
     match precision {
         Precision::F64 => ss3_block_with_pool(pool, block, cm, xm, c_new),
         Precision::F32 => {
-            let n = block.rows();
-            if n == 0 {
-                return 0.0;
-            }
-            let d = cm.cols();
-            let cm32 = MatF32::from_f64(cm);
-            let xm32: Vec<f32> = xm.iter().map(|&v| v as f32).collect();
-            let c32 = MatF32::from_f64(c_new);
-            let mut x32 = MatF32::zeros(n, d);
-            linalg::kernels_f32::sparse_mul_dense_f32_into_with_pool(
-                pool,
-                block,
-                &cm32,
-                x32.data_mut(),
-            );
-            for row in x32.data_mut().chunks_exact_mut(d) {
-                for (o, &m) in row.iter_mut().zip(&xm32) {
-                    *o -= m;
-                }
-            }
-            let mut cy32 = MatF32::zeros(n, d);
-            linalg::kernels_f32::sparse_mul_dense_f32_into_with_pool(
-                pool,
-                block,
-                &c32,
-                cy32.data_mut(),
-            );
-            // Per-row f32 dot products, summed in ascending row order in
-            // f32, widened once per block.
-            let mut part = 0.0f32;
-            for (xr, cr) in x32.data().chunks_exact(d).zip(cy32.data().chunks_exact(d)) {
-                let mut dot = 0.0f32;
-                for (a, b) in xr.iter().zip(cr) {
-                    dot += a * b;
-                }
-                part += dot;
-            }
-            f64::from(part)
+            let (cm, xm) = narrow::<f32>(cm, xm);
+            ss3_block_with_pool(pool, block, &cm, &xm, &Dense::from_f64(c_new))
         }
         Precision::Bf16AccF64 => {
             let (block, cm, xm) = bf16_inputs(block, cm, xm);
@@ -692,6 +566,11 @@ pub fn ss3_block_prec_with_pool(
             ss3_block_with_pool(pool, &block, &cm, &xm, &c_new)
         }
     }
+}
+
+/// The `f32` arm's narrowing of the broadcast `CM` and `Xm`, once per block.
+fn narrow<T: Scalar>(cm: &Mat, xm: &[f64]) -> (Dense<T>, Vec<T>) {
+    (Dense::from_f64(cm), xm.iter().map(|&v| T::from_f64(v)).collect())
 }
 
 /// The bf16 arm's input rounding: block values, `CM` and `Xm` all rounded
@@ -902,15 +781,30 @@ mod tests {
     }
 
     #[test]
-    fn add_block_reuses_scratch_across_blocks() {
+    fn add_block_folds_blocks_like_merge() {
+        // Folding two blocks into one partial reassociates exactly where
+        // merging two single-block partials does, in every arm.
         let (y, _, cm, xm) = fixture();
-        let mut p = YtxPartial::new(3);
-        p.add_block(&y.row_block(0, 4), &cm, &xm);
-        let cap = p.scratch.capacity();
-        assert!(cap >= 4 * 3);
-        p.add_block(&y.row_block(4, 6), &cm, &xm); // smaller block: same buffer
-        assert_eq!(p.scratch.capacity(), cap, "scratch was reallocated");
-        assert_eq!(p.rows_seen, 6);
+        let (a, b) = (y.row_block(0, 4), y.row_block(4, 6));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for precision in [Precision::F64, Precision::F32, Precision::Bf16AccF64] {
+            let mut folded = YtxPartial::new(3);
+            folded.add_block_prec(&a, &cm, &xm, precision);
+            folded.add_block_prec(&b, &cm, &xm, precision);
+            assert_eq!(folded.rows_seen, 6);
+
+            let mut merged = YtxPartial::new(3);
+            merged.add_block_prec(&a, &cm, &xm, precision);
+            let mut second = YtxPartial::new(3);
+            second.add_block_prec(&b, &cm, &xm, precision);
+            merged.merge(second);
+
+            assert_eq!(bits(folded.xtx.data()), bits(merged.xtx.data()), "{precision:?} XtX");
+            assert_eq!(folded.cols, merged.cols, "{precision:?} cols");
+            assert_eq!(bits(&folded.slab), bits(&merged.slab), "{precision:?} slab");
+            assert_eq!(bits(&folded.sum_x), bits(&merged.sum_x), "{precision:?} sum_x");
+            assert_eq!(folded.rows_seen, merged.rows_seen);
+        }
     }
 
     #[test]

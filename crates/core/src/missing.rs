@@ -222,7 +222,7 @@ mod tests {
         let model = fit_missing(&full, 2, 25, 7).unwrap();
         // Reconstruction through the model should be good.
         let x = model.transform_dense(&full).unwrap();
-        let rec = model.reconstruct(&x);
+        let rec = model.reconstruct(&x).unwrap();
         let rel = linalg::norms::diff_norm1(&full, &rec) / full.norm1();
         assert!(rel < 0.15, "relative error {rel}");
     }

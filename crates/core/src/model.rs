@@ -97,13 +97,16 @@ impl PcaModel {
     }
 
     /// Reconstructs rows from latent coordinates: `Ŷ = X·C' + 1⊗μ`.
-    pub fn reconstruct(&self, x: &Mat) -> Mat {
-        assert_eq!(x.cols(), self.output_dim(), "reconstruct: dimension mismatch");
+    /// Rejects coordinates whose width is not the model's `d`.
+    pub fn reconstruct(&self, x: &Mat) -> Result<Mat> {
+        if x.cols() != self.output_dim() {
+            return Err(SpcaError::DimensionMismatch { expected: self.output_dim(), found: x.cols() });
+        }
         let mut y = x.matmul_nt(&self.components);
         for r in 0..y.rows() {
             linalg::vector::axpy(1.0, &self.mean, y.row_mut(r));
         }
-        y
+        Ok(y)
     }
 
     /// Orthonormal basis of the principal subspace (thin QR of `C`).
@@ -304,13 +307,13 @@ mod tests {
         let m = sample_model();
         let mut rng = Prng::seed_from_u64(2);
         let latent = rng.normal_mat(40, 2);
-        let mut y = m.reconstruct(&latent);
+        let mut y = m.reconstruct(&latent).unwrap();
         // Add mild noise.
         let noise = rng.normal_mat(40, 6);
         y.add_scaled(0.05, &noise);
 
         let x = m.transform_dense(&y).unwrap();
-        let y_hat = m.reconstruct(&x);
+        let y_hat = m.reconstruct(&x).unwrap();
         let err = linalg::norms::diff_norm1(&y, &y_hat) / y.norm1();
         assert!(err < 0.25, "reconstruction error {err}");
     }
@@ -332,6 +335,13 @@ mod tests {
         let want = SpcaError::DimensionMismatch { expected: 6, found: 5 };
         assert_eq!(m.transform_dense(&narrow).unwrap_err(), want);
         assert_eq!(m.transform_sparse(&SparseMat::from_dense(&narrow)).unwrap_err(), want);
+    }
+
+    #[test]
+    fn reconstruct_rejects_a_width_mismatch() {
+        let m = sample_model();
+        let want = SpcaError::DimensionMismatch { expected: 2, found: 3 };
+        assert_eq!(m.reconstruct(&Mat::zeros(4, 3)).unwrap_err(), want);
     }
 
     #[test]

@@ -6,27 +6,104 @@
 //! optionally multi-threaded kernels in [`crate::kernels`]; small matrices
 //! stay on the sequential blocked path, large ones fan out on the shared
 //! [`crate::pool::WorkerPool`] with bit-for-bit deterministic splits.
+//!
+//! Storage is generic over the kernel [`Scalar`]: [`Mat`] (`f64`) carries
+//! the full API, while `Dense<f32>` is the narrowed operand of the `f32`
+//! precision arm, which only the generic kernels consume.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
 use crate::kernels;
+use crate::scalar::Scalar;
 use crate::vector;
 
-/// Dense row-major matrix of `f64`.
+/// Dense row-major matrix of a kernel [`Scalar`].
 #[derive(Clone, PartialEq)]
-pub struct Mat {
+pub struct Dense<T: Scalar> {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    data: Vec<T>,
+}
+
+/// Dense row-major matrix of `f64` — the workspace's matrix type.
+pub type Mat = Dense<f64>;
+
+impl<T: Scalar> Dense<T> {
+    /// Creates a `rows × cols` matrix of zeros.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        Dense { rows, cols, data: vec![T::ZERO; rows * cols] }
+    }
+
+    /// Builds a matrix from a row-major data vector.
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
+        assert_eq!(data.len(), rows * cols, "from_vec: {rows}x{cols} needs {} elements", rows * cols);
+        Dense { rows, cols, data }
+    }
+
+    /// Element-wise conversion of an `f64` matrix (round-to-nearest-even;
+    /// an exact copy for `f64`).
+    pub fn from_f64(m: &Mat) -> Self {
+        Dense { rows: m.rows, cols: m.cols, data: m.data.iter().map(|&v| T::from_f64(v)).collect() }
+    }
+
+    /// Widens to `f64` (exact; moves the buffer when `T` is `f64`).
+    pub fn widen(self) -> Mat {
+        Dense { rows: self.rows, cols: self.cols, data: T::widen(self.data) }
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// True if the matrix has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// Row `r` as a slice.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[T] {
+        debug_assert!(r < self.rows);
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Row `r` as a mutable slice.
+    #[inline]
+    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
+        debug_assert!(r < self.rows);
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Underlying row-major storage.
+    pub fn data(&self) -> &[T] {
+        &self.data
+    }
+
+    /// Mutable access to the underlying row-major storage.
+    pub fn data_mut(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+
+    /// Consumes the matrix, returning its row-major storage. Paired with
+    /// [`Dense::from_vec`] this lets callers recycle one scratch
+    /// allocation across differently-shaped blocks.
+    pub fn into_vec(self) -> Vec<T> {
+        self.data
+    }
 }
 
 impl Mat {
-    /// Creates a `rows × cols` matrix of zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Mat { rows, cols, data: vec![0.0; rows * cols] }
-    }
-
     /// Creates the `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Mat::zeros(n, n);
@@ -34,14 +111,6 @@ impl Mat {
             m[(i, i)] = 1.0;
         }
         m
-    }
-
-    /// Builds a matrix from a row-major data vector.
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "from_vec: {rows}x{cols} needs {} elements", rows * cols);
-        Mat { rows, cols, data }
     }
 
     /// Builds a matrix from row slices. All rows must have equal length.
@@ -67,58 +136,10 @@ impl Mat {
         m
     }
 
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// True if the matrix has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Row `r` as a slice.
-    #[inline]
-    pub fn row(&self, r: usize) -> &[f64] {
-        debug_assert!(r < self.rows);
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Row `r` as a mutable slice.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        debug_assert!(r < self.rows);
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Column `c` copied into a fresh vector.
     pub fn col(&self, c: usize) -> Vec<f64> {
         assert!(c < self.cols);
         (0..self.rows).map(|r| self[(r, c)]).collect()
-    }
-
-    /// Underlying row-major storage.
-    pub fn data(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Mutable access to the underlying row-major storage.
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Consumes the matrix, returning its row-major storage. Paired with
-    /// [`Mat::from_vec`] this lets callers (the batched EM path) recycle
-    /// one scratch allocation across differently-shaped blocks.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// In-memory footprint in bytes (used by the cluster simulator to meter
@@ -307,31 +328,32 @@ impl Mat {
     }
 }
 
-impl Index<(usize, usize)> for Mat {
-    type Output = f64;
+impl<T: Scalar> Index<(usize, usize)> for Dense<T> {
+    type Output = T;
 
     #[inline]
-    fn index(&self, (r, c): (usize, usize)) -> &f64 {
+    fn index(&self, (r, c): (usize, usize)) -> &T {
         debug_assert!(r < self.rows && c < self.cols, "index ({r},{c}) out of {}x{}", self.rows, self.cols);
         &self.data[r * self.cols + c]
     }
 }
 
-impl IndexMut<(usize, usize)> for Mat {
+impl<T: Scalar> IndexMut<(usize, usize)> for Dense<T> {
     #[inline]
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
+    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut T {
         debug_assert!(r < self.rows && c < self.cols, "index ({r},{c}) out of {}x{}", self.rows, self.cols);
         &mut self.data[r * self.cols + c]
     }
 }
 
-impl fmt::Debug for Mat {
+impl<T: Scalar> fmt::Debug for Dense<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Mat {}x{} [", self.rows, self.cols)?;
         let show_rows = self.rows.min(8);
         for r in 0..show_rows {
             let row = self.row(r);
-            let shown: Vec<String> = row.iter().take(8).map(|v| format!("{v:10.4}")).collect();
+            let shown: Vec<String> =
+                row.iter().take(8).map(|v| format!("{:10.4}", v.to_f64())).collect();
             let ellipsis = if self.cols > 8 { ", …" } else { "" };
             writeln!(f, "  [{}{}]", shown.join(", "), ellipsis)?;
         }

@@ -27,9 +27,19 @@
 //! count, and reductions merge partials in chunk-index order. Kernel
 //! output is therefore bit-for-bit identical on any pool — 1, 2, or 64
 //! workers — which the kernel-equivalence suite asserts directly.
+//!
+//! # Precision
+//!
+//! The kernels of the EM block pipeline — [`sparse_mul_dense_into`],
+//! [`syrk_tn`], [`spmm_tn`]/[`spmm_tn_packed`] and [`matmul_tn`] — are
+//! generic over the [`Scalar`] they multiply and accumulate in, so the
+//! `f32` precision arm runs the very same splits and accumulation orders
+//! as `f64`. Sparse values stay `f64` in the CSR matrix and are narrowed
+//! as they are read.
 
-use crate::dense::Mat;
+use crate::dense::{Dense, Mat};
 use crate::pool::WorkerPool;
+use crate::scalar::Scalar;
 use crate::sparse::SparseMat;
 use crate::vector;
 
@@ -109,11 +119,34 @@ pub(crate) fn nnz_ranges(y: &SparseMat, chunks: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// Runs `rows_fn(start, end, slice)` for every range on `pool`, where
+/// `slice` is that range's own `(end-start)×width` block of the row-major
+/// `out`: disjoint output rows, so no copies and no reduction, and every
+/// output row is written by exactly one task (bit-identical on any pool).
+/// A single range runs inline.
+fn run_row_ranges<T: Send>(
+    pool: &WorkerPool,
+    ranges: &[(usize, usize)],
+    width: usize,
+    out: &mut [T],
+    rows_fn: impl Fn(usize, usize, &mut [T]) + Sync,
+) {
+    let rows_fn = &rows_fn;
+    let mut tasks = Vec::with_capacity(ranges.len());
+    let mut rest = out;
+    for &(start, end) in ranges {
+        let (head, tail) = rest.split_at_mut((end - start) * width);
+        tasks.push(move || rows_fn(start, end, head));
+        rest = tail;
+    }
+    pool.run(tasks);
+}
+
 /// Best-effort prefetch of dense row `c` of `b` into L1 — the sparse
 /// product's B-row reads are data-dependent gathers, so the hardware
 /// prefetcher cannot see them coming.
 #[inline(always)]
-fn prefetch_row(b: &Mat, c: usize) {
+fn prefetch_row<T: Scalar>(b: &Dense<T>, c: usize) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch has no architectural effect beyond the cache, and
     // the pointer is a live in-bounds row.
@@ -153,27 +186,8 @@ pub fn matmul_with_pool(pool: &WorkerPool, a: &Mat, b: &Mat) -> Mat {
     if m == 0 || n == 0 || k == 0 {
         return out;
     }
-    let chunks = chunk_count(m, 2 * k * n);
-    if chunks == 1 {
-        matmul_rows(a, b, 0, m, out.data_mut());
-        return out;
-    }
-    let ranges = row_ranges(m, chunks);
-    // Disjoint output row-chunks: split the backing buffer and hand each
-    // task its own slice, so no copies and no reduction are needed.
-    let mut slices: Vec<(usize, usize, &mut [f64])> = Vec::with_capacity(chunks);
-    let mut rest = out.data_mut();
-    for &(start, end) in &ranges {
-        let (head, tail) = rest.split_at_mut((end - start) * n);
-        slices.push((start, end, head));
-        rest = tail;
-    }
-    pool.run(
-        slices
-            .into_iter()
-            .map(|(start, end, slice)| move || matmul_rows(a, b, start, end, slice))
-            .collect(),
-    );
+    let ranges = row_ranges(m, chunk_count(m, 2 * k * n));
+    run_row_ranges(pool, &ranges, n, out.data_mut(), |lo, hi, o| matmul_rows(a, b, lo, hi, o));
     out
 }
 
@@ -224,20 +238,20 @@ fn matmul_rows(a: &Mat, b: &Mat, start: usize, end: usize, out: &mut [f64]) {
 // ---------------------------------------------------------------------------
 
 /// `Aᵀ·B` on the process-global pool.
-pub fn matmul_tn(a: &Mat, b: &Mat) -> Mat {
+pub fn matmul_tn<T: Scalar>(a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
     matmul_tn_with_pool(WorkerPool::global(), a, b)
 }
 
 /// `Aᵀ·B` on an explicit pool. The shared row dimension is cut into fixed
 /// chunks; per-chunk partials are summed in chunk order, so the result is
 /// identical for every worker count.
-pub fn matmul_tn_with_pool(pool: &WorkerPool, a: &Mat, b: &Mat) -> Mat {
+pub fn matmul_tn_with_pool<T: Scalar>(pool: &WorkerPool, a: &Dense<T>, b: &Dense<T>) -> Dense<T> {
     let rows = a.rows();
     let (acols, bcols) = (a.cols(), b.cols());
     assert_eq!(rows, b.rows(), "matmul_tn: row counts differ ({} vs {})", rows, b.rows());
     let _span = obs::span_lazy("kernel", || format!("matmul_tn {rows}x{acols}x{bcols}"))
         .with_flops(2 * rows as u64 * acols as u64 * bcols as u64);
-    let mut out = Mat::zeros(acols, bcols);
+    let mut out = Dense::zeros(acols, bcols);
     if rows == 0 || acols == 0 || bcols == 0 {
         return out;
     }
@@ -260,12 +274,12 @@ pub fn matmul_tn_with_pool(pool: &WorkerPool, a: &Mat, b: &Mat) -> Mat {
         }
         return out;
     }
-    let partials: Vec<Vec<f64>> = pool.run(
+    let partials: Vec<Vec<T>> = pool.run(
         ranges
             .into_iter()
             .map(|(start, end)| {
                 move || {
-                    let mut partial = vec![0.0f64; acols * bcols];
+                    let mut partial = vec![T::ZERO; acols * bcols];
                     matmul_tn_rows(a, b, start, end, &mut partial);
                     partial
                 }
@@ -275,29 +289,26 @@ pub fn matmul_tn_with_pool(pool: &WorkerPool, a: &Mat, b: &Mat) -> Mat {
     // Reduce in chunk-index order — part of the determinism contract.
     let data = out.data_mut();
     for partial in &partials {
-        vector::axpy(1.0, partial, data);
+        vector::axpy(T::ONE, partial, data);
     }
     out
 }
-
-/// Register-tile width over the output columns of `matmul_tn` (portable
-/// path): one full-width f64 SIMD vector on AVX-512, two on AVX2.
-const TN_JR: usize = 8;
-/// Register-tile height over the output rows of `matmul_tn` (portable
-/// path).
-const TN_IR: usize = 8;
 
 /// Accumulates `Σ_{r in [start,end)} (A_r)ᵀ ⊗ B_r` into `out`
 /// (`acols × bcols`, row-major).
 ///
 /// Dispatches to a hand-written AVX-512 kernel when the CPU has it, and
-/// to a portable blocked kernel otherwise. Both accumulate every output
-/// element as separate rounded multiply-then-add steps in ascending-`r`
-/// order — the exact per-element operation sequence of the naive
-/// reference — so the two paths (and every pool size) are bit-for-bit
-/// interchangeable; the only reassociation anywhere is at the fixed
-/// chunk boundaries of the parallel reduction.
-fn matmul_tn_rows(a: &Mat, b: &Mat, start: usize, end: usize, out: &mut [f64]) {
+/// to the portable blocked kernel ([`Scalar::tn_rows_portable`])
+/// otherwise. Both accumulate every output element in ascending-`r` order
+/// within a chunk, but the AVX-512 tile fuses each multiply-add into one
+/// rounding while the portable kernel rounds the product and the sum
+/// separately, like the naive reference. The two paths therefore agree
+/// bit for bit only where products and partial sums are exact (for
+/// example on small-integer inputs) and otherwise differ in the last
+/// bits. On a given host the path is fixed, so the result is still
+/// bitwise identical for every pool size: the only reassociation is at
+/// the fixed chunk boundaries of the parallel reduction.
+fn matmul_tn_rows<T: Scalar>(a: &Dense<T>, b: &Dense<T>, start: usize, end: usize, out: &mut [T]) {
     if end == start {
         return;
     }
@@ -310,26 +321,39 @@ fn matmul_tn_rows(a: &Mat, b: &Mat, start: usize, end: usize, out: &mut [f64]) {
             return;
         }
     }
-    matmul_tn_rows_portable(a, b, start, end, out);
+    T::tn_rows_portable(a, b, start, end, out);
 }
 
 /// AVX-512 `matmul_tn` chunk kernel: 4 output rows × up to 4 zmm column
 /// groups per pass — 16 accumulators + 4 B vectors + 1 broadcast = 21 of
 /// the 32 vector registers — so each A element is broadcast once and
-/// feeds up to 32 output columns.
+/// feeds up to `4·AVX512_LANES` output columns (32 for `f64`, 64 for
+/// `f32`).
 ///
 /// There is no packing: A is walked directly at its natural row stride,
 /// each element read exactly once per call, with a software prefetch a
 /// few rows ahead to hide the strided-walk latency; B rows are
 /// contiguous and stay L1-resident across the `i0` sweep.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`, and `[start, end)` must be a row range
+/// of both `a` and `b` with `out` holding `a.cols() × b.cols()` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn matmul_tn_rows_avx512(a: &Mat, b: &Mat, start: usize, end: usize, out: &mut [f64]) {
+unsafe fn matmul_tn_rows_avx512<T: Scalar>(
+    a: &Dense<T>,
+    b: &Dense<T>,
+    start: usize,
+    end: usize,
+    out: &mut [T],
+) {
     let acols = a.cols();
     let bcols = b.cols();
     let len = end - start;
+    let w = T::AVX512_LANES;
     let imain = acols - acols % TN_AVX_IR;
-    let jmain = bcols - bcols % 8;
+    let jmain = bcols - bcols % w;
 
     let abase = a.data().as_ptr().add(start * acols);
     let bbase = b.data().as_ptr().add(start * bcols);
@@ -339,16 +363,16 @@ unsafe fn matmul_tn_rows_avx512(a: &Mat, b: &Mat, start: usize, end: usize, out:
     while i0 < imain {
         let a0 = abase.add(i0);
         let mut j0 = 0;
-        while j0 + 32 <= jmain {
-            tn_tile_avx512::<TN_AVX_IR, 4>(a0, acols, bbase.add(j0), bcols, len, obase.add(i0 * bcols + j0), bcols);
-            j0 += 32;
+        while j0 + 4 * w <= jmain {
+            T::tn_tile_avx512::<TN_AVX_IR, 4>(a0, acols, bbase.add(j0), bcols, len, obase.add(i0 * bcols + j0), bcols);
+            j0 += 4 * w;
         }
-        if j0 + 16 <= jmain {
-            tn_tile_avx512::<TN_AVX_IR, 2>(a0, acols, bbase.add(j0), bcols, len, obase.add(i0 * bcols + j0), bcols);
-            j0 += 16;
+        if j0 + 2 * w <= jmain {
+            T::tn_tile_avx512::<TN_AVX_IR, 2>(a0, acols, bbase.add(j0), bcols, len, obase.add(i0 * bcols + j0), bcols);
+            j0 += 2 * w;
         }
-        if j0 + 8 <= jmain {
-            tn_tile_avx512::<TN_AVX_IR, 1>(a0, acols, bbase.add(j0), bcols, len, obase.add(i0 * bcols + j0), bcols);
+        if j0 + w <= jmain {
+            T::tn_tile_avx512::<TN_AVX_IR, 1>(a0, acols, bbase.add(j0), bcols, len, obase.add(i0 * bcols + j0), bcols);
         }
         i0 += TN_AVX_IR;
     }
@@ -363,64 +387,8 @@ unsafe fn matmul_tn_rows_avx512(a: &Mat, b: &Mat, start: usize, end: usize, out:
 #[cfg(target_arch = "x86_64")]
 const TN_AVX_IR: usize = 4;
 
-/// One AVX-512 register tile: `R × (8·G)` outputs accumulated over `len`
-/// rows, then added into `out` once. `G` is the number of fused zmm
-/// column groups (4, 2, or 1); `R` is the output-row block.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn tn_tile_avx512<const R: usize, const G: usize>(
-    a0: *const f64,
-    astride: usize,
-    b0: *const f64,
-    bstride: usize,
-    len: usize,
-    o0: *mut f64,
-    ostride: usize,
-) {
-    use std::arch::x86_64::{
-        _mm_prefetch, _mm512_add_pd, _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_set1_pd,
-        _mm512_setzero_pd, _mm512_storeu_pd, _MM_HINT_T0,
-    };
-    let mut acc = [[_mm512_setzero_pd(); G]; R];
-    let mut ap = a0;
-    let mut bp = b0;
-    for _ in 0..len {
-        // Pull in the cache line one to the *right* of this read: the
-        // line this row's next-but-one column sweep will need, ~a full
-        // sweep (thousands of iterations) from now. Prefetching down the
-        // stride instead would target cold pages, and `prefetcht0` is
-        // silently dropped on a TLB miss — this row's page is already
-        // mapped, so the rightward prefetch always lands. wrapping_add
-        // keeps the address computation defined at the row end
-        // (prefetching past the buffer is architecturally harmless).
-        _mm_prefetch::<_MM_HINT_T0>(ap.wrapping_add(8) as *const i8);
-        let mut bv = [_mm512_setzero_pd(); G];
-        for (g, v) in bv.iter_mut().enumerate() {
-            *v = _mm512_loadu_pd(bp.add(8 * g));
-        }
-        for (t, acc_row) in acc.iter_mut().enumerate() {
-            let at = _mm512_set1_pd(*ap.add(t));
-            for (g, acc_tg) in acc_row.iter_mut().enumerate() {
-                // Fused multiply-add: this host has a single 512-bit FP
-                // port, so fusing halves the FP µop count. Integer-valued
-                // inputs stay exact (fma of exact integers is exact);
-                // random inputs move only in the last bits vs the
-                // separate-rounding reference.
-                *acc_tg = _mm512_fmadd_pd(at, bv[g], *acc_tg);
-            }
-        }
-        ap = ap.add(astride);
-        bp = bp.add(bstride);
-    }
-    for (t, acc_row) in acc.iter().enumerate() {
-        for (g, acc_tg) in acc_row.iter().enumerate() {
-            let o = o0.add(t * ostride + 8 * g);
-            _mm512_storeu_pd(o, _mm512_add_pd(_mm512_loadu_pd(o), *acc_tg));
-        }
-    }
-}
-
-/// Portable `matmul_tn` chunk kernel.
+/// Portable `matmul_tn` chunk kernel at an `IR × JR` register tile (each
+/// [`Scalar`] picks its geometry in [`Scalar::tn_rows_portable`]).
 ///
 /// Both operands are repacked once per chunk into row-interleaved panels:
 /// panel `p` holds each row\'s `[p·W, (p+1)·W)` column slice back to back,
@@ -429,43 +397,49 @@ unsafe fn tn_tile_avx512<const R: usize, const G: usize>(
 /// access and no per-iteration bounds checks. The pack itself reads A and
 /// B row by row (sequential, prefetch-friendly), while its scattered
 /// panel writes cycle through a working set of one cache line per panel.
-fn matmul_tn_rows_portable(a: &Mat, b: &Mat, start: usize, end: usize, out: &mut [f64]) {
+pub(crate) fn matmul_tn_rows_portable<T: Scalar, const IR: usize, const JR: usize>(
+    a: &Dense<T>,
+    b: &Dense<T>,
+    start: usize,
+    end: usize,
+    out: &mut [T],
+) {
     let acols = a.cols();
     let bcols = b.cols();
     let len = end - start;
-    let imain = acols - acols % TN_IR;
-    let jmain = bcols - bcols % TN_JR;
-    let igroups = imain / TN_IR;
-    let jgroups = jmain / TN_JR;
+    let imain = acols - acols % IR;
+    let jmain = bcols - bcols % JR;
+    let igroups = imain / IR;
+    let jgroups = jmain / JR;
 
-    let mut apack = vec![0.0f64; igroups * len * TN_IR];
-    let mut bpack = vec![0.0f64; jgroups * len * TN_JR];
+    let mut apack = vec![T::ZERO; igroups * len * IR];
+    let mut bpack = vec![T::ZERO; jgroups * len * JR];
     for rr in 0..len {
         let a_row = a.row(start + rr);
-        for (p, a_blk) in a_row[..imain].chunks_exact(TN_IR).enumerate() {
-            let a_blk: &[f64; TN_IR] = a_blk.try_into().expect("panel width");
-            let dst: &mut [f64; TN_IR] =
-                (&mut apack[(p * len + rr) * TN_IR..][..TN_IR]).try_into().expect("panel slot");
+        for (p, a_blk) in a_row[..imain].chunks_exact(IR).enumerate() {
+            let a_blk: &[T; IR] = a_blk.try_into().expect("panel width");
+            let dst: &mut [T; IR] =
+                (&mut apack[(p * len + rr) * IR..][..IR]).try_into().expect("panel slot");
             *dst = *a_blk;
         }
         let b_row = b.row(start + rr);
-        for (g, b_blk) in b_row[..jmain].chunks_exact(TN_JR).enumerate() {
-            let b_blk: &[f64; TN_JR] = b_blk.try_into().expect("panel width");
-            let dst: &mut [f64; TN_JR] =
-                (&mut bpack[(g * len + rr) * TN_JR..][..TN_JR]).try_into().expect("panel slot");
+        for (g, b_blk) in b_row[..jmain].chunks_exact(JR).enumerate() {
+            let b_blk: &[T; JR] = b_blk.try_into().expect("panel width");
+            let dst: &mut [T; JR] =
+                (&mut bpack[(g * len + rr) * JR..][..JR]).try_into().expect("panel slot");
             *dst = *b_blk;
         }
     }
 
     for p in 0..igroups {
-        let apanel = &apack[p * len * TN_IR..(p + 1) * len * TN_IR];
-        let i0 = p * TN_IR;
+        let apanel = &apack[p * len * IR..(p + 1) * len * IR];
+        let i0 = p * IR;
         for g in 0..jgroups {
-            let bgrp = &bpack[g * len * TN_JR..(g + 1) * len * TN_JR];
-            let acc = tn_tile_portable(apanel, bgrp);
-            let j0 = g * TN_JR;
+            let bgrp = &bpack[g * len * JR..(g + 1) * len * JR];
+            let acc = tn_tile_portable::<T, IR, JR>(apanel, bgrp);
+            let j0 = g * JR;
             for (t, acc_row) in acc.iter().enumerate() {
-                let o = &mut out[(i0 + t) * bcols + j0..(i0 + t) * bcols + j0 + TN_JR];
+                let o = &mut out[(i0 + t) * bcols + j0..(i0 + t) * bcols + j0 + JR];
                 for (u, &v) in acc_row.iter().enumerate() {
                     o[u] += v;
                 }
@@ -484,14 +458,17 @@ fn matmul_tn_rows_portable(a: &Mat, b: &Mat, start: usize, end: usize, out: &mut
 /// extra live state defeats the vectorizer and it scalarizes (measured
 /// ~4× slower). The call overhead is amortized over the chunk rows.
 #[inline(never)]
-fn tn_tile_portable(apack: &[f64], bgrp: &[f64]) -> [[f64; TN_JR]; TN_IR] {
-    let mut acc = [[0.0f64; TN_JR]; TN_IR];
-    for (a_blk, b_blk) in apack.chunks_exact(TN_IR).zip(bgrp.chunks_exact(TN_JR)) {
-        let a_blk: &[f64; TN_IR] = a_blk.try_into().expect("tile height");
-        let b_blk: &[f64; TN_JR] = b_blk.try_into().expect("tile width");
-        for u in 0..TN_JR {
+fn tn_tile_portable<T: Scalar, const IR: usize, const JR: usize>(
+    apack: &[T],
+    bgrp: &[T],
+) -> [[T; JR]; IR] {
+    let mut acc = [[T::ZERO; JR]; IR];
+    for (a_blk, b_blk) in apack.chunks_exact(IR).zip(bgrp.chunks_exact(JR)) {
+        let a_blk: &[T; IR] = a_blk.try_into().expect("tile height");
+        let b_blk: &[T; JR] = b_blk.try_into().expect("tile width");
+        for u in 0..JR {
             let bu = b_blk[u];
-            for t in 0..TN_IR {
+            for t in 0..IR {
                 acc[t][u] += a_blk[t] * bu;
             }
         }
@@ -502,12 +479,12 @@ fn tn_tile_portable(apack: &[f64], bgrp: &[f64]) -> [[f64; TN_JR]; TN_IR] {
 /// Output rows `>= imain` (full column range) and output columns
 /// `>= jmain` (for rows `< imain`): the per-row axpy path shared by both
 /// chunk kernels, still accumulating in ascending `r`.
-fn tn_remainders(
-    a: &Mat,
-    b: &Mat,
+fn tn_remainders<T: Scalar>(
+    a: &Dense<T>,
+    b: &Dense<T>,
     start: usize,
     end: usize,
-    out: &mut [f64],
+    out: &mut [T],
     imain: usize,
     jmain: usize,
 ) {
@@ -519,7 +496,7 @@ fn tn_remainders(
             let b_row = b.row(r);
             for i in imain..acols {
                 let c = a_row[i];
-                if c != 0.0 {
+                if c != T::ZERO {
                     vector::axpy(c, b_row, &mut out[i * bcols..(i + 1) * bcols]);
                 }
             }
@@ -531,7 +508,7 @@ fn tn_remainders(
             let b_row = b.row(r);
             for i in 0..imain {
                 let c = a_row[i];
-                if c != 0.0 {
+                if c != T::ZERO {
                     let o = &mut out[i * bcols + jmain..(i + 1) * bcols];
                     for (oj, &bj) in o.iter_mut().zip(&b_row[jmain..]) {
                         *oj += c * bj;
@@ -562,25 +539,8 @@ pub fn matmul_nt_with_pool(pool: &WorkerPool, a: &Mat, b: &Mat) -> Mat {
     if m == 0 || n == 0 {
         return out;
     }
-    let chunks = chunk_count(m, 2 * k * n);
-    if chunks == 1 {
-        matmul_nt_rows(a, b, 0, m, out.data_mut());
-        return out;
-    }
-    let ranges = row_ranges(m, chunks);
-    let mut slices: Vec<(usize, usize, &mut [f64])> = Vec::with_capacity(chunks);
-    let mut rest = out.data_mut();
-    for &(start, end) in &ranges {
-        let (head, tail) = rest.split_at_mut((end - start) * n);
-        slices.push((start, end, head));
-        rest = tail;
-    }
-    pool.run(
-        slices
-            .into_iter()
-            .map(|(start, end, slice)| move || matmul_nt_rows(a, b, start, end, slice))
-            .collect(),
-    );
+    let ranges = row_ranges(m, chunk_count(m, 2 * k * n));
+    run_row_ranges(pool, &ranges, n, out.data_mut(), |lo, hi, o| matmul_nt_rows(a, b, lo, hi, o));
     out
 }
 
@@ -657,21 +617,13 @@ pub fn matvec_with_pool(pool: &WorkerPool, a: &Mat, x: &[f64]) -> Vec<f64> {
     assert_eq!(k, x.len(), "matvec: dimension mismatch");
     let _span = obs::span_lazy("kernel", || format!("matvec {m}x{k}"))
         .with_flops(2 * m as u64 * k as u64);
-    let chunks = chunk_count(m, 2 * k);
-    if chunks == 1 {
-        return (0..m).map(|i| vector::dot(a.row(i), x)).collect();
-    }
-    let ranges = row_ranges(m, chunks);
-    let parts: Vec<Vec<f64>> = pool.run(
-        ranges
-            .into_iter()
-            .map(|(start, end)| move || (start..end).map(|i| vector::dot(a.row(i), x)).collect())
-            .collect(),
-    );
-    let mut out = Vec::with_capacity(m);
-    for p in parts {
-        out.extend(p);
-    }
+    let mut out = vec![0.0; m];
+    let ranges = row_ranges(m, chunk_count(m, 2 * k));
+    run_row_ranges(pool, &ranges, 1, &mut out, |lo, hi, o| {
+        for (i, slot) in (lo..hi).zip(o) {
+            *slot = vector::dot(a.row(i), x);
+        }
+    });
     out
 }
 
@@ -680,14 +632,18 @@ pub fn matvec_with_pool(pool: &WorkerPool, a: &Mat, x: &[f64]) -> Vec<f64> {
 // ---------------------------------------------------------------------------
 
 /// `Y·B` for CSR `Y` on the process-global pool.
-pub fn sparse_mul_dense(y: &SparseMat, b: &Mat) -> Mat {
+pub fn sparse_mul_dense<T: Scalar>(y: &SparseMat, b: &Dense<T>) -> Dense<T> {
     sparse_mul_dense_with_pool(WorkerPool::global(), y, b)
 }
 
 /// `Y·B` for CSR `Y` on an explicit pool. Row-parallel (each output row
 /// depends on one input row), so results are bit-identical on any pool.
-pub fn sparse_mul_dense_with_pool(pool: &WorkerPool, y: &SparseMat, b: &Mat) -> Mat {
-    let mut out = Mat::zeros(y.rows(), b.cols());
+pub fn sparse_mul_dense_with_pool<T: Scalar>(
+    pool: &WorkerPool,
+    y: &SparseMat,
+    b: &Dense<T>,
+) -> Dense<T> {
+    let mut out = Dense::zeros(y.rows(), b.cols());
     sparse_mul_dense_into_with_pool(pool, y, b, out.data_mut());
     out
 }
@@ -696,12 +652,17 @@ pub fn sparse_mul_dense_with_pool(pool: &WorkerPool, y: &SparseMat, b: &Mat) -> 
 /// `y.rows() × b.cols()` row-major buffer (the batched EM path reuses one
 /// scratch buffer across partitions instead of allocating per call).
 /// The caller zeroes the buffer; results are bit-identical on any pool.
-pub fn sparse_mul_dense_into(y: &SparseMat, b: &Mat, out: &mut [f64]) {
+pub fn sparse_mul_dense_into<T: Scalar>(y: &SparseMat, b: &Dense<T>, out: &mut [T]) {
     sparse_mul_dense_into_with_pool(WorkerPool::global(), y, b, out)
 }
 
 /// [`sparse_mul_dense_into`] on an explicit pool.
-pub fn sparse_mul_dense_into_with_pool(pool: &WorkerPool, y: &SparseMat, b: &Mat, out: &mut [f64]) {
+pub fn sparse_mul_dense_into_with_pool<T: Scalar>(
+    pool: &WorkerPool,
+    y: &SparseMat,
+    b: &Dense<T>,
+    out: &mut [T],
+) {
     let m = y.rows();
     let n = b.cols();
     assert_eq!(y.cols(), b.rows(), "mul_dense: inner dimensions differ");
@@ -717,25 +678,8 @@ pub fn sparse_mul_dense_into_with_pool(pool: &WorkerPool, y: &SparseMat, b: &Mat
     // keeps every task near the same flop count. Both are functions of
     // the matrix only, so any pool produces identical bits.
     let mean_nnz = y.nnz() / m.max(1);
-    let chunks = chunk_count(m, 2 * n * mean_nnz.max(1));
-    if chunks == 1 {
-        sparse_rows_mul(y, b, 0, m, out);
-        return;
-    }
-    let ranges = nnz_ranges(y, chunks);
-    let mut slices: Vec<(usize, usize, &mut [f64])> = Vec::with_capacity(chunks);
-    let mut rest = out;
-    for &(start, end) in &ranges {
-        let (head, tail) = rest.split_at_mut((end - start) * n);
-        slices.push((start, end, head));
-        rest = tail;
-    }
-    pool.run(
-        slices
-            .into_iter()
-            .map(|(start, end, slice)| move || sparse_rows_mul(y, b, start, end, slice))
-            .collect(),
-    );
+    let ranges = nnz_ranges(y, chunk_count(m, 2 * n * mean_nnz.max(1)));
+    run_row_ranges(pool, &ranges, n, out, |lo, hi, o| sparse_rows_mul(y, b, lo, hi, o));
 }
 
 /// Computes output rows `[start, end)` of `Y·B` into `out`. Non-zeros are
@@ -745,25 +689,26 @@ pub fn sparse_mul_dense_into_with_pool(pool: &WorkerPool, y: &SparseMat, b: &Mat
 /// `B` rows are prefetched while the current one computes: the row
 /// gathers are data-dependent, so without the hint every quad starts on
 /// a cold DRAM access.
-fn sparse_rows_mul(y: &SparseMat, b: &Mat, start: usize, end: usize, out: &mut [f64]) {
+fn sparse_rows_mul<T: Scalar>(y: &SparseMat, b: &Dense<T>, start: usize, end: usize, out: &mut [T]) {
     let n = b.cols();
     for r in start..end {
         let row = y.row(r);
         let o = &mut out[(r - start) * n..(r - start + 1) * n];
         let nnz = row.indices.len();
+        let v = |t: usize| T::from_f64(row.values[t]);
         let mut t = 0;
         while t + 4 <= nnz {
             for &c in row.indices[t + 4..nnz.min(t + 8)].iter() {
                 prefetch_row(b, c as usize);
             }
             vector::axpy4(
-                row.values[t],
+                v(t),
                 b.row(row.indices[t] as usize),
-                row.values[t + 1],
+                v(t + 1),
                 b.row(row.indices[t + 1] as usize),
-                row.values[t + 2],
+                v(t + 2),
                 b.row(row.indices[t + 2] as usize),
-                row.values[t + 3],
+                v(t + 3),
                 b.row(row.indices[t + 3] as usize),
                 o,
             );
@@ -771,11 +716,11 @@ fn sparse_rows_mul(y: &SparseMat, b: &Mat, start: usize, end: usize, out: &mut [
         }
         if t + 2 <= nnz {
             let (c0, c1) = (row.indices[t] as usize, row.indices[t + 1] as usize);
-            vector::axpy2(row.values[t], b.row(c0), row.values[t + 1], b.row(c1), o);
+            vector::axpy2(v(t), b.row(c0), v(t + 1), b.row(c1), o);
             t += 2;
         }
         if t < nnz {
-            vector::axpy(row.values[t], b.row(row.indices[t] as usize), o);
+            vector::axpy(v(t), b.row(row.indices[t] as usize), o);
         }
     }
 }
@@ -786,7 +731,7 @@ fn sparse_rows_mul(y: &SparseMat, b: &Mat, start: usize, end: usize, out: &mut [
 
 /// `XᵀX` on the process-global pool. Only the upper triangle is
 /// accumulated; the lower triangle is mirrored once at the end.
-pub fn syrk_tn(x: &Mat) -> Mat {
+pub fn syrk_tn<T: Scalar>(x: &Dense<T>) -> Dense<T> {
     syrk_tn_with_pool(WorkerPool::global(), x)
 }
 
@@ -803,34 +748,17 @@ pub fn syrk_tn(x: &Mat) -> Mat {
 /// at +0.0 can never become -0.0, so the reference's zero-skip asymmetry
 /// cannot change bits either). Results are therefore bit-identical to the
 /// reference on any pool size.
-pub fn syrk_tn_with_pool(pool: &WorkerPool, x: &Mat) -> Mat {
+pub fn syrk_tn_with_pool<T: Scalar>(pool: &WorkerPool, x: &Dense<T>) -> Dense<T> {
     let (n, d) = (x.rows(), x.cols());
     let _span = obs::span_lazy("kernel", || format!("syrk_tn {n}x{d}"))
         .with_flops(n as u64 * d as u64 * (d as u64 + 1));
-    let mut out = Mat::zeros(d, d);
+    let mut out = Dense::zeros(d, d);
     if n == 0 || d == 0 {
         return out;
     }
     // Mean flops per output row of the triangle: n·(d+1).
-    let chunks = chunk_count(d, n * (d + 1));
-    if chunks == 1 {
-        syrk_tn_band(x, 0, d, out.data_mut());
-    } else {
-        let ranges = row_ranges(d, chunks);
-        let mut slices: Vec<(usize, usize, &mut [f64])> = Vec::with_capacity(chunks);
-        let mut rest = out.data_mut();
-        for &(start, end) in &ranges {
-            let (head, tail) = rest.split_at_mut((end - start) * d);
-            slices.push((start, end, head));
-            rest = tail;
-        }
-        pool.run(
-            slices
-                .into_iter()
-                .map(|(start, end, slice)| move || syrk_tn_band(x, start, end, slice))
-                .collect(),
-        );
-    }
+    let ranges = row_ranges(d, chunk_count(d, n * (d + 1)));
+    run_row_ranges(pool, &ranges, d, out.data_mut(), |lo, hi, o| syrk_tn_band(x, lo, hi, o));
     for i in 0..d {
         for j in 0..i {
             out[(i, j)] = out[(j, i)];
@@ -841,13 +769,13 @@ pub fn syrk_tn_with_pool(pool: &WorkerPool, x: &Mat) -> Mat {
 
 /// Accumulates upper-triangle output rows `[lo, hi)` of `XᵀX` into `out`
 /// (`(hi-lo)×d` row-major; entries left of the diagonal stay zero).
-fn syrk_tn_band(x: &Mat, lo: usize, hi: usize, out: &mut [f64]) {
+fn syrk_tn_band<T: Scalar>(x: &Dense<T>, lo: usize, hi: usize, out: &mut [T]) {
     let d = x.cols();
     for r in 0..x.rows() {
         let row = x.row(r);
         for i in lo..hi {
             let xi = row[i];
-            if xi != 0.0 {
+            if xi != T::ZERO {
                 let base = (i - lo) * d;
                 vector::axpy(xi, &row[i..], &mut out[base + i..base + d]);
             }
@@ -860,7 +788,7 @@ fn syrk_tn_band(x: &Mat, lo: usize, hi: usize, out: &mut [f64]) {
 // ---------------------------------------------------------------------------
 
 /// `YᵀX` (`D×d` dense) for CSR `Y` on the process-global pool.
-pub fn spmm_tn(y: &SparseMat, x: &Mat) -> Mat {
+pub fn spmm_tn<T: Scalar>(y: &SparseMat, x: &Dense<T>) -> Dense<T> {
     spmm_tn_with_pool(WorkerPool::global(), y, x)
 }
 
@@ -871,9 +799,9 @@ pub fn spmm_tn(y: &SparseMat, x: &Mat) -> Mat {
 /// output rows, so every output row accumulates one axpy per contributing
 /// non-zero in ascending input-row order — bit-identical to the
 /// row-at-a-time reference on any pool size.
-pub fn spmm_tn_with_pool(pool: &WorkerPool, y: &SparseMat, x: &Mat) -> Mat {
+pub fn spmm_tn_with_pool<T: Scalar>(pool: &WorkerPool, y: &SparseMat, x: &Dense<T>) -> Dense<T> {
     assert_eq!(y.rows(), x.rows(), "spmm_tn: row counts differ ({} vs {})", y.rows(), x.rows());
-    let mut out = Mat::zeros(y.cols(), x.cols());
+    let mut out = Dense::zeros(y.cols(), x.cols());
     spmm_scatter(pool, y, x, None, out.data_mut());
     out
 }
@@ -884,17 +812,17 @@ pub fn spmm_tn_with_pool(pool: &WorkerPool, y: &SparseMat, x: &Mat) -> Mat {
 /// untouched columns may map anywhere (they contribute nothing). This is
 /// the hash-free inner loop of the batched `YtxPartial`: the slab holds
 /// only the columns a partition touches.
-pub fn spmm_tn_packed(y: &SparseMat, x: &Mat, map: &[u32], out: &mut [f64]) {
+pub fn spmm_tn_packed<T: Scalar>(y: &SparseMat, x: &Dense<T>, map: &[u32], out: &mut [T]) {
     spmm_tn_packed_with_pool(WorkerPool::global(), y, x, map, out)
 }
 
 /// [`spmm_tn_packed`] on an explicit pool.
-pub fn spmm_tn_packed_with_pool(
+pub fn spmm_tn_packed_with_pool<T: Scalar>(
     pool: &WorkerPool,
     y: &SparseMat,
-    x: &Mat,
+    x: &Dense<T>,
     map: &[u32],
-    out: &mut [f64],
+    out: &mut [T],
 ) {
     assert_eq!(y.rows(), x.rows(), "spmm_tn: row counts differ ({} vs {})", y.rows(), x.rows());
     assert_eq!(map.len(), y.cols(), "spmm_tn: column map covers every Y column");
@@ -903,7 +831,13 @@ pub fn spmm_tn_packed_with_pool(
 
 /// Shared scatter driver: `out` has `out.len()/x.cols()` rows; column `c`
 /// of `Y` lands in row `map[c]` (or `c` when no map is given).
-fn spmm_scatter(pool: &WorkerPool, y: &SparseMat, x: &Mat, map: Option<&[u32]>, out: &mut [f64]) {
+fn spmm_scatter<T: Scalar>(
+    pool: &WorkerPool,
+    y: &SparseMat,
+    x: &Dense<T>,
+    map: Option<&[u32]>,
+    out: &mut [T],
+) {
     let d = x.cols();
     if d == 0 {
         return;
@@ -945,20 +879,20 @@ fn spmm_scatter(pool: &WorkerPool, y: &SparseMat, x: &Mat, map: Option<&[u32]>, 
     for b in 0..bands {
         starts[b + 1] += starts[b];
     }
-    // (output row, input row, value) per non-zero, 16 bytes.
-    let mut entries: Vec<(u32, u32, f64)> = vec![(0, 0, 0.0); y.nnz()];
+    // (output row, input row, value) per non-zero, 16 bytes for f64.
+    let mut entries: Vec<(u32, u32, T)> = vec![(0, 0, T::ZERO); y.nnz()];
     let mut next = starts.clone();
     for r in 0..y.rows() {
         let row = y.row(r);
         for (&c, &v) in row.indices.iter().zip(row.values) {
             let t = target(c);
             let slot = &mut next[t / band_rows];
-            entries[*slot] = (t as u32, r as u32, v);
+            entries[*slot] = (t as u32, r as u32, T::from_f64(v));
             *slot += 1;
         }
     }
 
-    let mut tasks: Vec<(usize, &[(u32, u32, f64)], &mut [f64])> = Vec::with_capacity(bands);
+    let mut tasks: Vec<(usize, &[(u32, u32, T)], &mut [T])> = Vec::with_capacity(bands);
     let mut rest = out;
     for b in 0..bands {
         let lo = b * band_rows;
@@ -984,13 +918,13 @@ fn spmm_scatter(pool: &WorkerPool, y: &SparseMat, x: &Mat, map: Option<&[u32]>, 
 
 /// Scatters non-zeros whose (mapped) output row falls in `[lo, hi)` into
 /// `out` (`(hi-lo)×d`), in ascending input-row order.
-fn spmm_scatter_band(
+fn spmm_scatter_band<T: Scalar>(
     y: &SparseMat,
-    x: &Mat,
+    x: &Dense<T>,
     map: Option<&[u32]>,
     lo: usize,
     hi: usize,
-    out: &mut [f64],
+    out: &mut [T],
 ) {
     let d = x.cols();
     for r in 0..y.rows() {
@@ -1005,7 +939,7 @@ fn spmm_scatter_band(
                 None => c as usize,
             };
             if t >= lo && t < hi {
-                vector::axpy(v, xr, &mut out[(t - lo) * d..(t - lo + 1) * d]);
+                vector::axpy(T::from_f64(v), xr, &mut out[(t - lo) * d..(t - lo + 1) * d]);
             }
         }
     }
@@ -1176,42 +1110,156 @@ mod tests {
         }
     }
 
-    #[test]
-    fn spmm_tn_packed_matches_full_scatter() {
+    fn random_sparse(rng: &mut Prng, rows: usize, cols: usize, nnz: usize) -> SparseMat {
+        let triplets: Vec<_> =
+            (0..nnz).map(|_| (rng.index(rows), rng.index(cols) as u32, rng.normal())).collect();
+        SparseMat::from_triplets(rows, cols, &triplets)
+    }
+
+    fn bits<T: Scalar>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    fn packed_scatter_matches_full<T: Scalar>() {
         let mut rng = Prng::seed_from_u64(13);
         let (n, dd, d) = (120usize, 300usize, 8usize);
-        let mut triplets = Vec::new();
-        for _ in 0..700 {
-            triplets.push((rng.index(n), rng.index(dd) as u32, rng.normal()));
-        }
-        let y = SparseMat::from_triplets(n, dd, &triplets);
-        let x = rng.normal_mat(n, d);
+        let y = random_sparse(&mut rng, n, dd, 700);
+        let x = Dense::<T>::from_f64(&rng.normal_mat(n, d));
         let full = spmm_tn(&y, &x);
-        // Column-support map: touched columns get consecutive slab rows.
+        // Ascending column-support map, as the batched `YtxPartial` builds.
         let mut map = vec![u32::MAX; dd];
-        let mut support = Vec::new();
-        for &c in y.col_indices() {
-            if map[c as usize] == u32::MAX {
-                map[c as usize] = 0;
-            }
+        let mut support: Vec<u32> = y.col_indices().to_vec();
+        support.sort_unstable();
+        support.dedup();
+        for (i, &c) in support.iter().enumerate() {
+            map[c as usize] = i as u32;
         }
-        for (c, slot) in map.iter_mut().enumerate() {
-            if *slot == 0 {
-                *slot = support.len() as u32;
-                support.push(c as u32);
-            }
-        }
-        let mut slab = vec![0.0; support.len() * d];
+        let mut slab = vec![T::ZERO; support.len() * d];
         spmm_tn_packed(&y, &x, &map, &mut slab);
         for (i, &c) in support.iter().enumerate() {
-            assert_eq!(&slab[i * d..(i + 1) * d], full.row(c as usize), "packed row {c}");
+            assert_eq!(bits(&slab[i * d..(i + 1) * d]), bits(full.row(c as usize)), "packed row {c}");
         }
         // Untouched columns of the full product stay zero.
         for c in 0..dd {
             if map[c] == u32::MAX {
-                assert!(full.row(c).iter().all(|&v| v == 0.0));
+                assert!(full.row(c).iter().all(|&v| v == T::ZERO));
             }
         }
+    }
+
+    #[test]
+    fn spmm_tn_packed_matches_full_scatter() {
+        packed_scatter_matches_full::<f64>();
+        packed_scatter_matches_full::<f32>();
+    }
+
+    fn kernels_are_bitwise_deterministic_across_pools<T: Scalar>() {
+        let mut rng = Prng::seed_from_u64(31);
+        let (n, dd, d) = (900usize, 400usize, 24usize);
+        let y = random_sparse(&mut rng, n, dd, 8_000);
+        let cm = Dense::<T>::from_f64(&rng.normal_mat(dd, d));
+        let x = Dense::<T>::from_f64(&rng.normal_mat(n, d));
+        let a = Dense::<T>::from_f64(&rng.normal_mat(n, 40));
+        let b = Dense::<T>::from_f64(&rng.normal_mat(n, 32));
+        let run = |pool: &WorkerPool| {
+            [
+                bits(sparse_mul_dense_with_pool(pool, &y, &cm).data()),
+                bits(syrk_tn_with_pool(pool, &x).data()),
+                bits(spmm_tn_with_pool(pool, &y, &x).data()),
+                bits(matmul_tn_with_pool(pool, &a, &b).data()),
+            ]
+        };
+        let reference = run(&WorkerPool::new(1));
+        for pool in [&WorkerPool::new(2), &WorkerPool::new(8), WorkerPool::global()] {
+            assert_eq!(run(pool), reference, "a {} kernel reassociated", std::any::type_name::<T>());
+        }
+    }
+
+    #[test]
+    fn both_precisions_are_bitwise_deterministic_across_pools() {
+        kernels_are_bitwise_deterministic_across_pools::<f64>();
+        kernels_are_bitwise_deterministic_across_pools::<f32>();
+    }
+
+    #[test]
+    fn f32_kernels_track_the_f64_results() {
+        // Not bitwise — the f32 arm's point is different arithmetic — but
+        // the products must agree to f32 roundoff at these shapes.
+        let mut rng = Prng::seed_from_u64(32);
+        let (n, dd, d) = (300usize, 200usize, 12usize);
+        let y = random_sparse(&mut rng, n, dd, 3_000);
+        let pool = WorkerPool::new(4);
+        let within = |narrow: Dense<f32>, exact: Mat, tol: f64, what: &str| {
+            let scale = exact.data().iter().fold(1.0f64, |m, v| m.max(v.abs()));
+            let diff = narrow.widen().max_abs_diff(&exact);
+            assert!(diff <= tol * scale, "f32 {what} drifted by {diff:.3e}");
+        };
+        let cm = rng.normal_mat(dd, d);
+        within(
+            sparse_mul_dense_with_pool(&pool, &y, &Dense::from_f64(&cm)),
+            sparse_mul_dense_with_pool(&pool, &y, &cm),
+            1e-4,
+            "sparse_mul_dense",
+        );
+        let x = rng.normal_mat(n, d);
+        within(syrk_tn_with_pool(&pool, &Dense::from_f64(&x)), syrk_tn_with_pool(&pool, &x), 1e-3, "syrk_tn");
+        let a = rng.normal_mat(n, 17); // odd widths exercise remainders
+        let b = rng.normal_mat(n, 19);
+        within(
+            matmul_tn_with_pool(&pool, &Dense::from_f64(&a), &Dense::from_f64(&b)),
+            matmul_tn_with_pool(&pool, &a, &b),
+            1e-3,
+            "matmul_tn",
+        );
+    }
+
+    /// Integer-valued matrix in [-4, 4]: every product and partial sum of
+    /// the shapes below is an integer exactly representable in `f32`.
+    fn int_mat(rng: &mut Prng, rows: usize, cols: usize) -> Mat {
+        Mat::from_fn(rows, cols, |_, _| rng.index(9) as f64 - 4.0)
+    }
+
+    /// Runs one chunk kernel over all rows of `a`, `b` into a zeroed output.
+    fn chunk<T: Scalar>(
+        kernel: impl Fn(&Dense<T>, &Dense<T>, usize, usize, &mut [T]),
+        a: &Mat,
+        b: &Mat,
+    ) -> Mat {
+        let (a, b) = (Dense::<T>::from_f64(a), Dense::<T>::from_f64(b));
+        let mut out = Dense::<T>::zeros(a.cols(), b.cols());
+        kernel(&a, &b, 0, a.rows(), out.data_mut());
+        out.widen()
+    }
+
+    fn portable_path_matches_naive_and_avx512<T: Scalar>() {
+        let mut rng = Prng::seed_from_u64(17);
+        // Full register tiles plus row and column remainders for both
+        // tile geometries, and (for AVX-512) every fused-group width.
+        for &(rows, acols, bcols) in &[(37usize, 19usize, 37usize), (50, 12, 70), (5, 3, 2)] {
+            let (a, b) = (int_mat(&mut rng, rows, acols), int_mat(&mut rng, rows, bcols));
+            let portable = chunk::<T>(T::tn_rows_portable, &a, &b);
+            let reference = naive::matmul_tn(&a, &b);
+            assert_eq!(bits(portable.data()), bits(reference.data()), "portable vs naive {rows}x{acols}x{bcols}");
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: avx512f was just detected and `chunk` passes the
+                // full row range of both operands with a full-size output.
+                let avx = chunk::<T>(|a, b, s, e, o| unsafe { matmul_tn_rows_avx512(a, b, s, e, o) }, &a, &b);
+                assert_eq!(bits(portable.data()), bits(avx.data()), "portable vs avx512 {rows}x{acols}x{bcols}");
+            }
+        }
+    }
+
+    #[test]
+    fn portable_matmul_tn_path_is_exact_and_matches_avx512_on_integers() {
+        portable_path_matches_naive_and_avx512::<f64>();
+        portable_path_matches_naive_and_avx512::<f32>();
+        // Random f64 inputs: separate roundings in ascending-row order,
+        // within reassociation noise of the naive loop.
+        let mut rng = Prng::seed_from_u64(18);
+        let (a, b) = (rng.normal_mat(300, 19), rng.normal_mat(300, 37));
+        let portable = chunk::<f64>(f64::tn_rows_portable, &a, &b);
+        assert!(portable.approx_eq(&naive::matmul_tn(&a, &b), 1e-12));
     }
 
     #[test]

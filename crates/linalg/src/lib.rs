@@ -22,21 +22,24 @@
 //!   [`pool::WorkerPool`] shared with the simulated cluster's stages.
 //!
 //! The default numeric scalar is `f64` throughout. The [`precision`]
-//! ladder adds opt-in reduced-precision arms for the hot EM kernels
-//! ([`kernels_f32`]), each bitwise-reproducible across worker counts;
-//! `f64` remains the reference every arm is measured against.
+//! ladder adds opt-in reduced-precision arms for the hot EM kernels. There
+//! is one kernel family: the EM block-pipeline kernels are generic over a
+//! sealed [`Scalar`] (`f64` or `f32`, storage [`Dense<T>`]), so the arms
+//! differ only in the element type, share every split and accumulation
+//! order, and are each bitwise-reproducible across worker counts; `f64`
+//! remains the reference every arm is measured against.
 
 pub mod bytes;
 pub mod dense;
 pub mod error;
 pub mod io;
 pub mod kernels;
-pub mod kernels_f32;
 pub mod norms;
 pub mod ops;
 pub mod pool;
 pub mod precision;
 pub mod rng;
+pub mod scalar;
 pub mod scratch;
 pub mod sparse;
 pub mod vector;
@@ -45,13 +48,13 @@ pub mod wire;
 pub mod decomp;
 
 pub use bytes::ByteSized;
-pub use kernels_f32::MatF32;
 pub use precision::{bf16_round, Precision};
 pub use wire::{Sizing, Wire, WireCodec, WireError, WireReader};
-pub use dense::Mat;
+pub use dense::{Dense, Mat};
 pub use error::LinalgError;
 pub use pool::WorkerPool;
 pub use rng::Prng;
+pub use scalar::Scalar;
 pub use sparse::{SparseMat, SparseRow};
 
 /// Crate-wide result alias.

@@ -14,7 +14,10 @@
 //! * [`Precision::F32`] — inputs are narrowed once per block, the kernel
 //!   multiplies *and accumulates* in `f32` (the fast arm: half the
 //!   memory traffic, twice the SIMD lanes), and per-block results widen
-//!   back into the `f64` cross-partition accumulators.
+//!   back into the `f64` cross-partition accumulators. It runs the same
+//!   generic kernels as `f64`, instantiated at
+//!   [`Scalar`](crate::Scalar) `= f32`: the two arms differ only in the
+//!   element type.
 //! * [`Precision::Bf16AccF64`] — inputs are rounded to bfloat16 (8-bit
 //!   exponent, 7-bit mantissa, round-to-nearest-even) but the existing
 //!   `f64` kernels do the arithmetic. This isolates the *representation*
@@ -24,8 +27,10 @@
 //!
 //! Every arm keeps the kernels' determinism contract: chunk splits are a
 //! function of the problem shape only and reductions merge in chunk
-//! order, so each arm is bitwise reproducible across worker counts —
-//! the arms differ from *each other*, never from themselves.
+//! order. The contract is written once, in the one generic kernel family
+//! of [`crate::kernels`], so each arm is bitwise reproducible across
+//! worker counts — the arms differ from *each other*, never from
+//! themselves.
 
 /// Which arithmetic the EM inner loop runs in. Selected on
 /// `SpcaConfig::with_precision`; the default is full `f64`.

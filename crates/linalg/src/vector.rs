@@ -10,12 +10,16 @@
 //! `axpy` updates four lanes per iteration, and the `axpy2`/`axpy4` fused
 //! variants apply several rank-1 updates in a single pass over `y` — the
 //! primitive the blocked kernels in [`crate::kernels`] are built from.
+//! These four are generic over the kernel [`Scalar`], so the `f32` arm
+//! runs the same loops; the remaining helpers are `f64`-only.
+
+use crate::scalar::Scalar;
 
 /// Dot product `a · b`. Panics if the lengths differ.
 #[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub fn dot<T: Scalar>(a: &[T], b: &[T]) -> T {
     assert_eq!(a.len(), b.len(), "dot: length mismatch {} vs {}", a.len(), b.len());
-    let mut acc = [0.0f64; 4];
+    let mut acc = [T::ZERO; 4];
     let (a4, a_tail) = a.split_at(a.len() & !3);
     let (b4, b_tail) = b.split_at(a4.len());
     for (xa, xb) in a4.chunks_exact(4).zip(b4.chunks_exact(4)) {
@@ -25,7 +29,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
         acc[3] += xa[3] * xb[3];
     }
     let mut sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (x, y) in a_tail.iter().zip(b_tail) {
+    for (&x, &y) in a_tail.iter().zip(b_tail) {
         sum += x * y;
     }
     sum
@@ -33,7 +37,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// `y += alpha * x` (BLAS axpy). Panics if the lengths differ.
 #[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch {} vs {}", x.len(), y.len());
     let split = x.len() & !3;
     let (x4, x_tail) = x.split_at(split);
@@ -44,7 +48,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
         ys[2] += alpha * xs[2];
         ys[3] += alpha * xs[3];
     }
-    for (yi, xi) in y_tail.iter_mut().zip(x_tail) {
+    for (yi, &xi) in y_tail.iter_mut().zip(x_tail) {
         *yi += alpha * xi;
     }
 }
@@ -55,7 +59,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 /// bit-identical to two sequential [`axpy`] calls while halving the
 /// read-modify-write traffic on `y`.
 #[inline]
-pub fn axpy2(a0: f64, x0: &[f64], a1: f64, x1: &[f64], y: &mut [f64]) {
+pub fn axpy2<T: Scalar>(a0: T, x0: &[T], a1: T, x1: &[T], y: &mut [T]) {
     let n = y.len();
     assert!(x0.len() == n && x1.len() == n, "axpy2: length mismatch");
     for j in 0..n {
@@ -67,16 +71,16 @@ pub fn axpy2(a0: f64, x0: &[f64], a1: f64, x1: &[f64], y: &mut [f64]) {
 /// over `y`, adds associated left-to-right (bit-identical to four
 /// sequential [`axpy`] calls).
 #[inline]
-pub fn axpy4(
-    a0: f64,
-    x0: &[f64],
-    a1: f64,
-    x1: &[f64],
-    a2: f64,
-    x2: &[f64],
-    a3: f64,
-    x3: &[f64],
-    y: &mut [f64],
+pub fn axpy4<T: Scalar>(
+    a0: T,
+    x0: &[T],
+    a1: T,
+    x1: &[T],
+    a2: T,
+    x2: &[T],
+    a3: T,
+    x3: &[T],
+    y: &mut [T],
 ) {
     let n = y.len();
     assert!(
@@ -144,7 +148,7 @@ mod tests {
     #[test]
     fn dot_matches_hand_computation() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-        assert_eq!(dot(&[], &[]), 0.0);
+        assert_eq!(dot::<f64>(&[], &[]), 0.0);
     }
 
     #[test]

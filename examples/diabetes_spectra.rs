@@ -28,7 +28,7 @@ fn main() {
         .fit_spark(&cluster, &y)
         .expect("fit");
     let x = run.model.transform_sparse(&y).expect("project");
-    let recon = run.model.reconstruct(&x);
+    let recon = run.model.reconstruct(&x).expect("reconstruct");
     let rel = spca_repro::linalg::norms::diff_norm1(&spectra, &recon) / spectra.norm1();
     println!(
         "\n8 components reconstruct the spectra to {:.2}% relative L1 error",

@@ -29,7 +29,7 @@ fn main() {
             .fit_spark(&cluster, &y)
             .expect("fit");
         let x = run.model.transform_sparse(&y).expect("project");
-        let recon = run.model.reconstruct(&x);
+        let recon = run.model.reconstruct(&x).expect("reconstruct");
         let rel = spca_repro::linalg::norms::diff_norm1(&features, &recon) / features.norm1();
 
         let original = y.rows() * y.cols();

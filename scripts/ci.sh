@@ -37,7 +37,7 @@ cargo test -q --release --offline --workspace
 # iteration count (deterministic — failures reproduce with the same seed).
 WIRE_FUZZ_ITERS=512 cargo test -q --release --offline -p linalg --test wire_roundtrip
 cargo run --release --offline -p spca-bench --bin bench_kernels -- \
-    --smoke --out /tmp/BENCH_kernels_smoke.json --trace "$TRACE_DIR/bench_kernels.json"
+    --smoke --out "$TRACE_DIR/BENCH_kernels.json" --trace "$TRACE_DIR/bench_kernels.json"
 cargo run --release --offline -p spca-bench --bin bench_em -- \
     --smoke --out "$TRACE_DIR/BENCH_em.json" --trace "$TRACE_DIR/bench_em.json"
 # Per-arm smoke runs of the precision ladder: each asserts worker-count
@@ -100,7 +100,7 @@ done
 cargo run --release --offline -p spca-bench --bin trace_check -- \
     "$TRACE_DIR/bench_kernels.json" "$TRACE_DIR/bench_em.json" \
     "$TRACE_DIR/trace_report.json" \
-    --plain "$TRACE_DIR/BENCH_em.json" "$TRACE_DIR/BENCH_em_f32.json" \
+    --plain "$TRACE_DIR/BENCH_kernels.json" "$TRACE_DIR/BENCH_em.json" "$TRACE_DIR/BENCH_em_f32.json" \
     "$TRACE_DIR/BENCH_em_bf16.json" "$TRACE_DIR/BENCH_faults.json" \
     "$TRACE_DIR/BENCH_wire.json" "$TRACE_DIR/BENCH_rpca.json" \
     "$TRACE_DIR/BENCH_scale.json" \

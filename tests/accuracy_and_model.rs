@@ -105,7 +105,7 @@ fn transform_reconstruct_shapes_compose() {
         .unwrap();
     let x = run.model.transform_sparse(&y).unwrap();
     assert_eq!((x.rows(), x.cols()), (y.rows(), 6));
-    let back = run.model.reconstruct(&x);
+    let back = run.model.reconstruct(&x).unwrap();
     assert_eq!((back.rows(), back.cols()), (y.rows(), y.cols()));
 }
 

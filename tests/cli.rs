@@ -272,3 +272,42 @@ fn non_finite_input_is_a_read_error_not_a_nan_model() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn overflowing_fit_is_a_divergence_error_not_a_nan_model() {
+    // Every value is finite, so ingestion accepts the file, but 1e200² is
+    // not: the fit's arithmetic overflows in its first pass.
+    let dir = workdir("diverged");
+    let data = dir.join("big.sm").to_str().unwrap().to_string();
+    let model = dir.join("model.txt");
+    let out = cli().args(["generate", "lowrank", "300", "60", "--seed", "3", "-o", &data]).output();
+    assert!(out.unwrap().status.success());
+    let text = std::fs::read_to_string(&data).unwrap();
+    std::fs::write(&data, text.replace(" 1e0\n", " 1e200\n")).unwrap();
+    let fit = ["fit", "-i", &data, "-o", model.to_str().unwrap(), "-d", "3", "--iters", "4"];
+    expect_typed_error(&fit, &["diverged", "pass 1"]);
+    assert!(!model.exists(), "a diverged fit must not write a model");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn zero_variance_input_fits_a_finite_model() {
+    // Zero total variance makes EM's objective -inf by definition; that is
+    // no divergence, and the fit must still succeed.
+    let dir = workdir("zero-variance");
+    let model = dir.join("model.txt");
+    let constant: String = (0..20).map(|r| format!("{r} 0 1.0\n{r} 3 2.0\n")).collect();
+    let zero = "spca-sparse 20 6 0\n".to_string();
+    for (name, text) in [("zero", zero), ("constant", format!("spca-sparse 20 6 40\n{constant}"))] {
+        let data = dir.join(format!("{name}.sm")).to_str().unwrap().to_string();
+        std::fs::write(&data, text).unwrap();
+        let fit = ["fit", "-d", "2", "--iters", "3", "-i", &data, "-o", model.to_str().unwrap()];
+        let out = cli().args(fit).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{name}: fit failed: {stderr}");
+        let text = std::fs::read_to_string(&model).unwrap();
+        assert!(!text.contains("NaN") && !text.contains("inf"), "{name}: non-finite model");
+        std::fs::remove_file(&model).unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
